@@ -2,8 +2,8 @@
 # Tier-1 verification, three ways: a normal Release build+ctest, the same
 # suite under AddressSanitizer+UBSan (FXCPP_SANITIZE=ON), and the
 # concurrency suite (parallel executor, task groups, thread pool, profiler
-# hooks, hardened runtime, inference serving) under ThreadSanitizer
-# (FXCPP_SANITIZE=thread).
+# hooks, hardened runtime, inference serving, TRTSim engines) under
+# ThreadSanitizer (FXCPP_SANITIZE=thread).
 # The ASan step covers the fault-injection differential fuzz (every fault
 # kind at every node must leak nothing and double-free nothing) and the
 # memory-planner fuzz (arena reuse / in-place aliasing must never read or
@@ -38,6 +38,12 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 echo "-- fxprof smoke (build/) --"
 fxprof_smoke "$repo/build"
+# Paper shape checks as gates: E3 (Conv-BN fusion, incl. the TRTSim
+# simulated-accelerator row) and E4 (TRTSim lowering vs eager) compare
+# interleaved-trial medians and exit non-zero when a check is VIOLATED.
+echo "-- E3/E4 shape checks (build/) --"
+"$repo/build/bench/bench_fusion"
+"$repo/build/bench/bench_tensorrt"
 
 # clang-tidy (bugprone / performance / concurrency, config in .clang-tidy)
 # over the analysis + passes layers. Gated: the CI container does not ship
@@ -71,8 +77,10 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target test_parallel_exec \
   --target test_runtime --target test_profile --target test_resilience \
   --target test_memory_plan --target test_dataflow --target test_constant_fold \
   --target test_plan_cache --target test_serving --target test_resilience_serve \
-  --target test_kernels
+  --target test_kernels --target test_trt
 "$repo/build-tsan/tests/test_parallel_exec"
+# test_runtime includes the repeated short parallel_for calls at 4 threads
+# that catch a worker touching the caller's completion mutex after return.
 "$repo/build-tsan/tests/test_runtime"
 "$repo/build-tsan/tests/test_profile"
 # Hardened runtime under TSan: the differential fault fuzz hammers the hook
@@ -106,5 +114,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target test_parallel_exec \
 # Run twice: dispatched tier, then the forced scalar fallback.
 "$repo/build-tsan/tests/test_kernels"
 FXCPP_KERNEL_ISA=scalar "$repo/build-tsan/tests/test_kernels"
+# TRTSim under TSan: engines run on the shared planned tape, so concurrent
+# Engine::run calls must each lease their own arena.
+"$repo/build-tsan/tests/test_trt"
 
 echo "== check.sh: all suites green =="

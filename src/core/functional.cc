@@ -268,6 +268,19 @@ Value conv2d(const Value& x, const Value& w, const Value& b,
                            padding));
 }
 
+Value conv2d_relu(const Value& x, const Value& w, const Value& b,
+                  std::vector<std::int64_t> stride,
+                  std::vector<std::int64_t> padding) {
+  if (Tracer* t = tracer_of({&x, &w, &b})) {
+    return record_fn(t, "conv2d_relu",
+                     {t->create_arg(x), t->create_arg(w), t->create_arg(b),
+                      Argument(stride), Argument(padding)});
+  }
+  return Value(ops::conv2d_relu(x.tensor(), w.tensor(),
+                                b.defined() ? b.tensor() : Tensor(), stride,
+                                padding));
+}
+
 Value max_pool2d(const Value& x, std::vector<std::int64_t> kernel,
                  std::vector<std::int64_t> stride,
                  std::vector<std::int64_t> padding) {
@@ -475,6 +488,13 @@ void do_register() {
                                 rt_opt_tensor(a.at(2)), rt_int_list(a.at(3)),
                                 rt_int_list(a.at(4)));
            }});
+  fns.add({"conv2d_relu",
+           {"x", "weight", "bias", "stride", "padding"},
+           [](const Args& a) -> RtValue {
+             return ops::conv2d_relu(
+                 rt_tensor(a.at(0)), rt_tensor(a.at(1)), rt_opt_tensor(a.at(2)),
+                 rt_int_list(a.at(3)), rt_int_list(a.at(4)));
+           }});
   fns.add({"max_pool2d",
            {"x", "kernel", "stride", "padding"},
            [](const Args& a) -> RtValue {
@@ -571,7 +591,7 @@ void do_register() {
   for (const char* name :
        {"sum", "mean", "dequantize", "quantized_relu", "dropout", "matmul",
         "linear", "linear_relu", "transpose", "embedding", "conv2d",
-        "max_pool2d",
+        "conv2d_relu", "max_pool2d",
         "avg_pool2d", "adaptive_avg_pool2d", "batch_norm", "layer_norm",
         "softmax", "cat", "quantize_per_tensor", "quantized_add"}) {
     fns.annotate(name, /*fresh_output=*/true, /*can_alias=*/false);

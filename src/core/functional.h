@@ -50,6 +50,11 @@ Value embedding(const Value& weight, const Value& indices);
 // --- conv / pool -----------------------------------------------------------
 Value conv2d(const Value& x, const Value& w, const Value& b,
              std::vector<std::int64_t> stride, std::vector<std::int64_t> padding);
+// Fused conv2d+ReLU (the fusion pass's target; bit-equal to
+// relu(conv2d(...))).
+Value conv2d_relu(const Value& x, const Value& w, const Value& b,
+                  std::vector<std::int64_t> stride,
+                  std::vector<std::int64_t> padding);
 Value max_pool2d(const Value& x, std::vector<std::int64_t> kernel,
                  std::vector<std::int64_t> stride,
                  std::vector<std::int64_t> padding);

@@ -43,8 +43,8 @@ class Linear : public Module {
 // kernel (the clamp runs in the GEMM epilogue; bit-equal to
 // ReLU(Linear(x))). Installed by passes::fuse_linear_relu — is-a Linear, so
 // feature introspection and analyses that accept Linear keep working, but
-// passes that re-emit a plain linear from it must remember the ReLU (see
-// trt::build_engine).
+// passes that re-emit a plain linear from it must remember the ReLU (the
+// quantizer leaves it in float for that reason).
 class LinearReLU : public Linear {
  public:
   LinearReLU(std::int64_t in_features, std::int64_t out_features,
@@ -65,9 +65,24 @@ class Conv2d : public Module {
   std::vector<std::int64_t> padding() const { return {padding_, padding_}; }
   bool has_bias() const { return has_bias_; }
 
+ protected:
+  // Subclass hook (Conv2dReLU): `src`'s configuration and its parameter
+  // tensors (shared, not copied; no fresh initialization is drawn).
+  Conv2d(std::string kind, const Conv2d& src);
+
  private:
   std::int64_t in_, out_, kernel_, stride_, padding_;
   bool has_bias_;
+};
+
+// Fused Conv2d+ReLU: the conv counterpart of LinearReLU. Forward lowers to
+// conv2d_relu (clamp in the GEMM epilogue; bit-equal to ReLU(Conv2d(x))).
+// Installed by passes::fuse_linear_relu over the replaced conv's own
+// parameter tensors. Is-a Conv2d, with the same caveat as LinearReLU.
+class Conv2dReLU : public Conv2d {
+ public:
+  explicit Conv2dReLU(const Conv2d& src);
+  fx::Value forward(const std::vector<fx::Value>& inputs) override;
 };
 
 // Inference-mode batch normalization over channel dim 1 (running stats).

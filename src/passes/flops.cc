@@ -57,7 +57,7 @@ double function_flops(const fx::Node& n, const Shape& out) {
     }
     return numel_of(out);
   }
-  if (t == "conv2d") {
+  if (t == "conv2d" || t == "conv2d_relu") {
     Shape ws;
     if (input_shape(1, ws) && ws.size() == 4) {
       return 2.0 * numel_of(out) *

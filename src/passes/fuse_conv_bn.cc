@@ -1,6 +1,7 @@
 #include "passes/fuse_conv_bn.h"
 
 #include <cmath>
+#include <typeinfo>
 
 #include "nn/layers.h"
 
@@ -52,7 +53,9 @@ int fuse_conv_bn(fx::GraphModule& gm) {
     if (conv_node->users().size() != 1) continue;
     auto conv = std::dynamic_pointer_cast<nn::Conv2d>(
         gm.resolve_module(conv_node->target()));
-    if (!conv) continue;
+    // Exact type: a Conv2dReLU clamps before the BN, so folding the BN into
+    // its weights would move the BN ahead of the ReLU.
+    if (!conv || typeid(*conv) != typeid(nn::Conv2d)) continue;
 
     const FusedConvParams params = fuse_conv_bn_weights(
         conv->param("weight"),

@@ -30,34 +30,44 @@ int fuse_linear_relu(fx::GraphModule& gm) {
     if (relu_node->args().size() != 1 || !relu_node->args()[0].is_node()) {
       continue;
     }
-    fx::Node* lin_node = relu_node->args()[0].node();
-    // The linear output must feed only this ReLU; another consumer needs the
-    // pre-clamp values.
-    if (lin_node->users().size() != 1) continue;
+    fx::Node* prod = relu_node->args()[0].node();
+    // The producer's output must feed only this ReLU; another consumer
+    // needs the pre-clamp values.
+    if (prod->users().size() != 1) continue;
 
-    if (lin_node->op() == fx::Opcode::CallFunction &&
-        lin_node->target() == "linear") {
-      lin_node->set_target("linear_relu");
-    } else if (lin_node->op() == fx::Opcode::CallModule) {
-      const auto m = gm.resolve_module(lin_node->target());
-      const auto lin = std::dynamic_pointer_cast<nn::Linear>(m);
-      // Exact-type check: LinearReLU is-a Linear but already clamps; fusing
-      // it again would be a no-op rewrite that loops on repeated runs.
-      if (!lin || typeid(*m) != typeid(nn::Linear)) continue;
-      auto fused = std::make_shared<nn::LinearReLU>(
-          lin->in_features(), lin->out_features(), lin->has_bias());
-      fused->param("weight") = lin->param("weight");
-      if (lin->has_bias()) fused->param("bias") = lin->param("bias");
-      gm.root()->set_submodule(lin_node->target(), fused);
+    if (prod->op() == fx::Opcode::CallFunction &&
+        (prod->target() == "linear" || prod->target() == "conv2d")) {
+      prod->set_target(prod->target() + "_relu");
+    } else if (prod->op() == fx::Opcode::CallModule) {
+      // Exact-type checks: the fused modules are-a Linear / Conv2d but
+      // already clamp; fusing them again would be a no-op rewrite that
+      // loops on repeated runs.
+      const auto m = gm.resolve_module(prod->target());
+      if (!m) continue;
+      nn::Module::Ptr fused;
+      if (typeid(*m) == typeid(nn::Linear)) {
+        const auto& lin = static_cast<const nn::Linear&>(*m);
+        auto lr = std::make_shared<nn::LinearReLU>(
+            lin.in_features(), lin.out_features(), lin.has_bias());
+        lr->param("weight") = lin.param("weight");
+        if (lin.has_bias()) lr->param("bias") = lin.param("bias");
+        fused = lr;
+      } else if (typeid(*m) == typeid(nn::Conv2d)) {
+        fused = std::make_shared<nn::Conv2dReLU>(
+            static_cast<const nn::Conv2d&>(*m));
+      } else {
+        continue;
+      }
+      gm.root()->set_submodule(prod->target(), fused);
     } else {
       continue;
     }
 
-    // The linear node now computes the clamped values; its recorded meta
-    // (and that of the rewired ReLU users) described the pre-fusion program.
-    lin_node->invalidate_shape_meta();
+    // The producer now computes the clamped values; its recorded meta (and
+    // that of the rewired ReLU users) described the pre-fusion program.
+    prod->invalidate_shape_meta();
     for (fx::Node* user : relu_node->users()) user->invalidate_shape_meta();
-    relu_node->replace_all_uses_with(lin_node);
+    relu_node->replace_all_uses_with(prod);
     g.erase_node(relu_node);
     ++fused_count;
   }

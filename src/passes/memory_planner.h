@@ -4,11 +4,9 @@
 // derived from the tape's register reads (the same use-def info that drives
 // Instr::frees and the parallel Schedule), alias-propagated through
 // view-producing ops, and packed into one arena by a greedy first-fit over
-// freed blocks. The first-fit routine is shared with trt/engine.cc — the TRT
-// engine's inline planner was the prototype; `first_fit_pack` preserves its
-// step semantics exactly (inputs allocated before step 0, per step allocate
-// definitions in buffer order *then* free last-uses) so the engine's
-// planner_saving() stat is bit-identical after the dedup.
+// freed blocks (`first_fit_pack`: inputs allocated before step 0, per step
+// allocate definitions in buffer order *then* free last-uses). TRTSim
+// engines (trt/engine.h) are planned by this same pass.
 //
 // Conservatism rules (what keeps a wrong plan impossible, not just unlikely):
 //  - Only ops whose OpInfo::fresh_output trait is set (and a whitelist of nn
@@ -38,7 +36,7 @@
 namespace fxcpp::passes {
 
 // One buffer's lifetime for first_fit_pack. Sizes are in caller units
-// (bytes for the tape planner, floats for the TRT engine).
+// (bytes for the tape planner).
 struct LiveRange {
   std::int64_t size = 0;
   int def = -1;       // step that materializes it; < 0 = before step 0
@@ -50,13 +48,13 @@ struct FirstFitPacking {
   std::int64_t high_water = 0;        // arena size, in the caller's units
 };
 
-// Greedy first-fit arena assignment over freed blocks (extracted from
-// trt/engine.cc, semantics preserved exactly): ranges defined before step 0
-// are allocated first in index order; then per step i, ranges with def == i
-// are allocated in index order *before* ranges with last_use == i are
-// returned to the free list — so a value consumed and produced at the same
-// step never aliases itself. Freeing splits blocks first-fit (exact-size
-// blocks are removed, larger ones shrink from the front); no coalescing.
+// Greedy first-fit arena assignment over freed blocks: ranges defined
+// before step 0 are allocated first in index order; then per step i, ranges
+// with def == i are allocated in index order *before* ranges with
+// last_use == i are returned to the free list — so a value consumed and
+// produced at the same step never aliases itself. Freeing splits blocks
+// first-fit (exact-size blocks are removed, larger ones shrink from the
+// front); no coalescing.
 FirstFitPacking first_fit_pack(const std::vector<LiveRange>& ranges,
                                int num_steps);
 

@@ -121,7 +121,7 @@ SymShape function_transfer(const fx::Node& n, const SymEnv& env) {
     a.back() = b.back();
     return a;
   }
-  if (t == "conv2d") {
+  if (t == "conv2d" || t == "conv2d_relu") {
     const SymShape& x = in0();
     const SymShape& w = env.of(n.args().at(1));
     const auto stride = n.args().at(3).int_list();

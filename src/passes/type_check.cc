@@ -1,5 +1,6 @@
 #include "passes/type_check.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -158,6 +159,28 @@ class Checker {
       if (!a || !w) return std::nullopt;
       SymShape out = *a;
       out.back() = (*w)[0];
+      return out;
+    }
+    if (t == "conv2d" || t == "conv2d_relu") {
+      GType w = of(n.args().at(1));
+      if (a && a->size() != 4) {
+        error(n, t + ": expected rank-4 NCHW input, got " + gtype_str(a));
+        return std::nullopt;
+      }
+      if (!a || !w || w->size() != 4) return std::nullopt;
+      if ((*w)[1].is_known) expect_dim(n, a, 1, (*w)[1].value, t.c_str());
+      const auto stride = n.args().at(3).int_list();
+      const auto pad = n.args().at(4).int_list();
+      SymShape out{(*a)[0], (*w)[0], SymDim::dynamic(), SymDim::dynamic()};
+      for (std::size_t i = 0; i < 2; ++i) {
+        const SymDim& in = (*a)[2 + i];
+        const SymDim& k = (*w)[2 + i];
+        const std::int64_t s = stride.at(std::min(i, stride.size() - 1));
+        const std::int64_t p = pad.at(std::min(i, pad.size() - 1));
+        if (in.is_known && k.is_known) {
+          out[2 + i] = SymDim::known((in.value + 2 * p - k.value) / s + 1);
+        }
+      }
       return out;
     }
     if (t == "matmul") {

@@ -26,9 +26,13 @@ enum class ModKind { Linear, Conv, Relu, Lut, PassThrough, None };
 
 ModKind classify_module(const nn::Module& m, float (**lut_fn)(float),
                         const char** lut_name) {
-  // LinearReLU is-a Linear, but QuantizedLinear would re-emit it without the
-  // fused clamp — leave it in float precision rather than drop the ReLU.
-  if (dynamic_cast<const nn::LinearReLU*>(&m)) return ModKind::None;
+  // LinearReLU / Conv2dReLU are-a Linear / Conv2d, but the quantized
+  // modules would re-emit them without the fused clamp — leave them in float
+  // precision rather than drop the ReLU.
+  if (dynamic_cast<const nn::LinearReLU*>(&m) ||
+      dynamic_cast<const nn::Conv2dReLU*>(&m)) {
+    return ModKind::None;
+  }
   if (dynamic_cast<const nn::Linear*>(&m)) return ModKind::Linear;
   if (dynamic_cast<const nn::Conv2d*>(&m)) return ModKind::Conv;
   if (dynamic_cast<const nn::ReLU*>(&m)) return ModKind::Relu;

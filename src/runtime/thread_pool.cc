@@ -265,7 +265,10 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
   if (chunks > threads) chunks = threads;
   const std::int64_t chunk = (range + chunks - 1) / chunks;
 
-  std::atomic<std::int64_t> remaining{chunks};
+  // Decrement and notify under `mu`: the caller owns `mu`/`cv` on its stack
+  // and returns as soon as it observes zero, so a worker must be done with
+  // both before the caller can see its decrement.
+  std::int64_t remaining = chunks;
   std::mutex mu;
   std::condition_variable cv;
 
@@ -277,18 +280,15 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
     const std::int64_t e = std::min(end, b + chunk);
     pool->submit([&, b, e] {
       fn(b, e);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) cv.notify_one();
     });
   }
   // The caller participates in chunk 0.
   fn(begin, std::min(end, begin + chunk));
-  if (remaining.fetch_sub(1) != 1) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining.load() == 0; });
-  }
+  std::unique_lock<std::mutex> lock(mu);
+  --remaining;
+  cv.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace fxcpp::rt

@@ -57,6 +57,11 @@ Tensor transpose(const Tensor& x, int d0, int d1);
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               std::vector<std::int64_t> stride,
               std::vector<std::int64_t> padding);
+// conv2d followed by ReLU, the clamp fused into the GEMM epilogue like
+// linear_relu — bit-equal to relu(conv2d(...)).
+Tensor conv2d_relu(const Tensor& x, const Tensor& w, const Tensor& b,
+                   std::vector<std::int64_t> stride,
+                   std::vector<std::int64_t> padding);
 Tensor max_pool2d(const Tensor& x, std::vector<std::int64_t> kernel,
                   std::vector<std::int64_t> stride,
                   std::vector<std::int64_t> padding);

@@ -63,11 +63,10 @@ void im2col(const float* img, const Conv2dDims& d, float* col) {
   }
 }
 
-}  // namespace
-
-Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
-              std::vector<std::int64_t> stride,
-              std::vector<std::int64_t> padding) {
+// Shared conv2d / conv2d_relu body; the ReLU rides in the GEMM epilogue.
+Tensor conv2d_impl(const Tensor& x, const Tensor& w, const Tensor& b,
+                   const std::vector<std::int64_t>& stride,
+                   const std::vector<std::int64_t>& padding, bool relu) {
   const Tensor xc = x.contiguous();
   const Conv2dDims d = conv_dims(xc, w, stride, padding);
   Tensor out(Shape{d.n, d.o, d.oh, d.ow}, DType::Float32);
@@ -99,9 +98,23 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
     kernels::pack_b_f32_nn(col, spatial, k, spatial, pb);
     float* yout = out.data<float>() + img * d.o * spatial;
     kernels::sgemm(d.o, spatial, k, nullptr, 0, pb, yout, spatial, nullptr,
-                   bias, /*relu=*/false, pa->data());
+                   bias, relu, pa->data());
   }
   return out;
+}
+
+}  // namespace
+
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+              std::vector<std::int64_t> stride,
+              std::vector<std::int64_t> padding) {
+  return conv2d_impl(x, w, b, stride, padding, /*relu=*/false);
+}
+
+Tensor conv2d_relu(const Tensor& x, const Tensor& w, const Tensor& b,
+                   std::vector<std::int64_t> stride,
+                   std::vector<std::int64_t> padding) {
+  return conv2d_impl(x, w, b, stride, padding, /*relu=*/true);
 }
 
 Tensor max_pool2d(const Tensor& x, std::vector<std::int64_t> kernel,

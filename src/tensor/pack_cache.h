@@ -107,8 +107,11 @@ class PackCache {
   // Drop all entries and the workspaces; per-thread stats reset too.
   void clear();
 
-  // Capacity bound on cached packs (default 64, separately for plain and
-  // panel entries). Shrinking evicts oldest.
+  // Capacity bound on cached packs (separately for plain and panel
+  // entries). Shrinking evicts oldest. The default holds two planned
+  // ResNet-50 weight sets (54 panel entries each) on one thread, so a
+  // caller alternating between two fused copies of a model never repacks.
+  static constexpr std::size_t kDefaultCapacity = 256;
   void set_capacity(std::size_t max_entries);
   std::size_t size() const { return entries_.size(); }
   std::size_t panel_size() const { return panel_entries_.size(); }
@@ -159,7 +162,7 @@ class PackCache {
   std::vector<std::uintptr_t> insertion_order_;  // FIFO eviction order
   std::unordered_map<PanelKey, PanelEntry, PanelKeyHash> panel_entries_;
   std::vector<PanelKey> panel_insertion_order_;
-  std::size_t capacity_ = 64;
+  std::size_t capacity_ = kDefaultCapacity;
   std::vector<float> workspace_;
   std::vector<float> panel_workspace_;
   std::vector<std::int8_t> workspace_s8_;

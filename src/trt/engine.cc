@@ -1,38 +1,28 @@
 #include "trt/engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "nn/layers.h"
 #include "passes/fuse_conv_bn.h"
+#include "passes/fuse_linear_relu.h"
 #include "passes/memory_planner.h"
-#include "passes/shape_prop.h"
-#include "runtime/thread_pool.h"
 
 namespace fxcpp::trt {
 
 namespace {
 
-bool is_relu_node(const fx::GraphModule& gm, const fx::Node& n) {
-  if (n.op() == fx::Opcode::CallFunction || n.op() == fx::Opcode::CallMethod) {
-    return n.target() == "relu";
+// Root of an engine's private module hierarchy; only its children are used.
+class FlatRoot : public nn::Module {
+ public:
+  FlatRoot() : nn::Module("TRTSimRoot") {}
+  fx::Value forward(const std::vector<fx::Value>&) override {
+    throw std::logic_error("TRTSimRoot::forward should never run");
   }
-  if (n.op() == fx::Opcode::CallModule) {
-    return dynamic_cast<const nn::ReLU*>(gm.resolve_module(n.target()).get()) !=
-           nullptr;
-  }
-  return false;
-}
-
-// Sole user of n, or nullptr.
-fx::Node* sole_user(const fx::Node& n) {
-  if (n.users().size() != 1) return nullptr;
-  return *n.users().begin();
-}
+};
 
 }  // namespace
 
@@ -67,475 +57,64 @@ bool is_supported(const fx::GraphModule& gm, const fx::Node& n) {
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Build
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct Buffer {
-  std::int64_t size = 0;  // floats
-  std::int64_t offset = -1;
-  int def_op = -1;   // -1: graph input
-  int last_use = -1; // op index; INT_MAX-ish for output
-};
-
-}  // namespace
-
-std::unique_ptr<Engine> Engine::build(fx::GraphModule& gm,
+std::unique_ptr<Engine> Engine::build(const fx::GraphModule& gm,
                                       const Shape& input_shape) {
-  const auto phs = gm.graph().placeholders();
-  if (phs.size() != 1) {
+  const fx::Graph& src = gm.graph();
+  if (src.placeholders().size() != 1) {
     throw std::invalid_argument("Engine::build: exactly one input supported");
   }
-  passes::shape_prop(gm, {Tensor::zeros(input_shape)});
-
-  std::unique_ptr<Engine> e(new Engine());
-  e->input_shape_ = input_shape;
-
-  std::vector<Buffer> buffers;
-  std::unordered_map<const fx::Node*, int> buf_of;
-  auto new_buffer = [&](const Shape& s, int def_op) {
-    buffers.push_back(Buffer{shape_numel(s), -1, def_op, -1});
-    return static_cast<int>(buffers.size()) - 1;
-  };
-
-  buf_of[phs[0]] = new_buffer(input_shape, -1);
-
-  std::set<const fx::Node*> absorbed;  // folded BNs / fused ReLUs
-  std::int64_t im2col_max = 0;
-
-  auto arg_node = [](const fx::Node& n, std::size_t i) -> fx::Node* {
-    if (n.args().size() <= i || !n.args()[i].is_node()) {
-      throw std::invalid_argument("Engine::build: expected node argument");
-    }
-    return n.args()[i].node();
-  };
-
-  const fx::Node* out_arg = nullptr;
-  for (const fx::Node* n : gm.graph().nodes()) {
-    if (n->op() == fx::Opcode::Placeholder) continue;
-    if (absorbed.count(n)) continue;
-    if (n->op() == fx::Opcode::Output) {
-      if (!n->args().at(0).is_node()) {
-        throw std::invalid_argument("Engine::build: non-tensor output");
-      }
-      out_arg = n->args()[0].node();
-      continue;
-    }
+  for (const fx::Node* n : src.nodes()) {
     if (!is_supported(gm, *n)) {
       throw std::invalid_argument("Engine::build: unsupported node '" +
                                   n->name() + "' (target=" + n->target() +
                                   "); use lower_to_trtsim for auto-split");
     }
+  }
+  if (!src.output_node() || !src.output_node()->args().at(0).is_node()) {
+    throw std::invalid_argument("Engine::build: expected one tensor output");
+  }
 
-    EngineOp op;
-    const fx::Node* result_node = n;  // node whose value this op produces
-
-    auto try_fuse_relu = [&](const fx::Node* producer) {
-      fx::Node* u = sole_user(*producer);
-      if (u && is_relu_node(gm, *u)) {
-        op.fuse_relu = true;
-        absorbed.insert(u);
-        ++e->stats_.fused_relus;
-        return u;
-      }
-      return const_cast<fx::Node*>(producer);
-    };
-
-    if (n->op() == fx::Opcode::CallModule) {
-      const auto m = gm.resolve_module(n->target());
-      if (const auto* conv = dynamic_cast<const nn::Conv2d*>(m.get())) {
-        op.kind = EngineOp::Kind::Conv;
-        op.stride = conv->stride();
-        op.padding = conv->padding();
-        op.weight = conv->param("weight").clone();
-        op.bias = conv->has_bias() ? conv->param("bias").clone()
-                                   : Tensor::zeros({conv->out_channels()});
-        op.kernel = {op.weight.size(2), op.weight.size(3)};
-        // Fold a directly-following BatchNorm into the weights.
-        const fx::Node* producer = n;
-        if (fx::Node* u = sole_user(*producer)) {
-          if (u->op() == fx::Opcode::CallModule) {
-            if (auto bn = std::dynamic_pointer_cast<nn::BatchNorm2d>(
-                    gm.resolve_module(u->target()))) {
-              const auto fused = passes::fuse_conv_bn_weights(
-                  op.weight, op.bias, bn->param("running_mean"),
-                  bn->param("running_var"), bn->param("weight"),
-                  bn->param("bias"), bn->eps());
-              op.weight = fused.weight;
-              op.bias = fused.bias;
-              absorbed.insert(u);
-              ++e->stats_.fused_batchnorms;
-              producer = u;
-            }
-          }
-        }
-        result_node = try_fuse_relu(producer);
-        op.in_shape = arg_node(*n, 0)->shape();
-        op.out_shape = producer->shape();
-        im2col_max = std::max(
-            im2col_max, op.weight.numel() / op.weight.size(0) *
-                            op.out_shape[2] * op.out_shape[3]);
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (const auto* lin = dynamic_cast<const nn::Linear*>(m.get())) {
-        (void)lin;
-        op.kind = EngineOp::Kind::Linear;
-        op.weight = m->param("weight").clone();
-        op.bias = m->has_parameter("bias") ? m->param("bias").clone()
-                                           : Tensor::zeros({m->param("weight").size(0)});
-        result_node = try_fuse_relu(n);
-        // A LinearReLU module clamps inside its own forward; re-emitting it
-        // as a plain Linear op would drop that ReLU.
-        if (dynamic_cast<const nn::LinearReLU*>(m.get()) && !op.fuse_relu) {
-          op.fuse_relu = true;
-          ++e->stats_.fused_relus;
-        }
-        op.in_shape = arg_node(*n, 0)->shape();
-        op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (dynamic_cast<const nn::BatchNorm2d*>(m.get())) {
-        // Standalone BN (no conv producer): execute as scale/shift via the
-        // Add/Identity machinery — precompute per-channel affine into a
-        // 1x1 "conv" on channels. Rare; use a conv with 1x1 identity.
-        const auto bn = std::dynamic_pointer_cast<nn::BatchNorm2d>(m);
-        const std::int64_t c = bn->num_features();
-        Tensor w = Tensor::zeros({c, c, 1, 1});
-        for (std::int64_t i = 0; i < c; ++i) w.set_flat(i * c + i, 1.0);
-        const auto fused = passes::fuse_conv_bn_weights(
-            w, Tensor::zeros({c}), bn->param("running_mean"),
-            bn->param("running_var"), bn->param("weight"), bn->param("bias"),
-            bn->eps());
-        op.kind = EngineOp::Kind::Conv;
-        op.weight = fused.weight;
-        op.bias = fused.bias;
-        op.kernel = {1, 1};
-        result_node = try_fuse_relu(n);
-        op.in_shape = arg_node(*n, 0)->shape();
-        op.out_shape = n->shape();
-        im2col_max = std::max(im2col_max, c * op.out_shape[2] * op.out_shape[3]);
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (dynamic_cast<const nn::ReLU*>(m.get())) {
-        op.kind = EngineOp::Kind::Relu;
-        op.in_shape = op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (dynamic_cast<const nn::Sigmoid*>(m.get())) {
-        op.kind = EngineOp::Kind::Sigmoid;
-        op.in_shape = op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (dynamic_cast<const nn::Tanh*>(m.get())) {
-        op.kind = EngineOp::Kind::Tanh;
-        op.in_shape = op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (const auto* mp = dynamic_cast<const nn::MaxPool2d*>(m.get())) {
-        op.kind = EngineOp::Kind::MaxPool;
-        op.kernel = {mp->kernel(), mp->kernel()};
-        op.stride = {mp->stride(), mp->stride()};
-        op.padding = {mp->padding(), mp->padding()};
-        op.in_shape = arg_node(*n, 0)->shape();
-        op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (dynamic_cast<const nn::AdaptiveAvgPool2d*>(m.get())) {
-        op.kind = EngineOp::Kind::AdaptiveAvgPool;
-        op.in_shape = arg_node(*n, 0)->shape();
-        op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else {
-        // Flatten / Dropout / Identity: logical only.
-        buf_of[n] = buf_of.at(arg_node(*n, 0));
-        continue;
-      }
-    } else {  // call_function / call_method
-      const std::string& t = n->target();
-      if (t == "flatten" || t == "reshape") {
-        buf_of[n] = buf_of.at(arg_node(*n, 0));
-        continue;
-      }
-      if (t == "add") {
-        op.kind = EngineOp::Kind::Add;
-        op.in_shape = arg_node(*n, 0)->shape();
-        op.in2_shape = arg_node(*n, 1)->shape();
-        result_node = try_fuse_relu(n);
-        op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-        op.in2_off = buf_of.at(arg_node(*n, 1));
-      } else if (t == "relu") {
-        op.kind = EngineOp::Kind::Relu;
-        op.in_shape = op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else if (t == "sigmoid" || t == "tanh") {
-        op.kind = t == "sigmoid" ? EngineOp::Kind::Sigmoid
-                                 : EngineOp::Kind::Tanh;
-        op.in_shape = op.out_shape = n->shape();
-        op.in_off = buf_of.at(arg_node(*n, 0));
-      } else {
-        throw std::invalid_argument("Engine::build: unsupported target '" +
-                                    t + "'");
-      }
+  // Private program: the cloned graph over a flat root. The fusion passes
+  // install their fused modules into this root, never into the source's.
+  auto graph = src.clone();
+  auto root = std::make_shared<FlatRoot>();
+  std::map<std::string, std::string> flat;  // source qualname -> child name
+  std::set<std::string> taken;
+  for (fx::Node* n : graph->nodes()) {
+    if (n->op() != fx::Opcode::CallModule) continue;
+    auto [it, fresh] = flat.try_emplace(n->target());
+    if (fresh) {
+      std::string name = n->target();
+      std::replace(name.begin(), name.end(), '.', '_');
+      while (!taken.insert(name).second) name += '_';
+      root->register_module(name, gm.resolve_module(n->target()));
+      it->second = name;
     }
-
-    const int op_index = static_cast<int>(e->plan_.size());
-    const int out_buf = new_buffer(op.out_shape, op_index);
-    buf_of[result_node] = out_buf;
-    if (result_node != n) buf_of[n] = out_buf;
-    op.out_off = out_buf;  // temporarily store buffer id; offsets assigned below
-    e->plan_.push_back(std::move(op));
-    e->stats_.weight_bytes +=
-        static_cast<std::size_t>(e->plan_.back().weight.defined()
-                                     ? e->plan_.back().weight.numel() * 4
-                                     : 0);
+    n->set_target(it->second);
   }
 
-  if (!out_arg) throw std::invalid_argument("Engine::build: graph has no output");
+  std::unique_ptr<Engine> e(new Engine());
+  e->input_shape_ = input_shape;
+  e->gm_ = std::make_shared<fx::GraphModule>(root, std::move(graph),
+                                             "TRTSimProgram");
+  e->stats_.fused_batchnorms = passes::fuse_conv_bn(*e->gm_);
+  e->stats_.fused_relus = passes::fuse_linear_relu(*e->gm_);
+  e->gm_->recompile();
+  const fx::TapePlan& plan =
+      passes::compile_planned(*e->gm_, {Tensor::zeros(input_shape)});
 
-  // --- liveness ------------------------------------------------------------
-  // in_off/in2_off currently hold buffer ids; record uses.
-  for (std::size_t i = 0; i < e->plan_.size(); ++i) {
-    auto use = [&](std::int64_t id) {
-      if (id >= 0) {
-        buffers[static_cast<std::size_t>(id)].last_use =
-            std::max(buffers[static_cast<std::size_t>(id)].last_use,
-                     static_cast<int>(i));
-      }
-    };
-    use(e->plan_[i].in_off);
-    use(e->plan_[i].in2_off);
+  const auto& instrs = e->gm_->compiled_graph().instrs();
+  e->stats_.plan_ops = static_cast<int>(instrs.size());
+  e->stats_.arena_bytes = plan.arena_bytes;
+  e->stats_.unplanned_bytes = plan.unplanned_bytes;
+  for (const fx::Instr& ins : instrs) {
+    if (!ins.module) continue;
+    for (const auto& [name, t] : ins.module->parameters()) {
+      e->stats_.weight_bytes +=
+          static_cast<std::size_t>(t.numel()) * dtype_size(t.dtype());
+    }
   }
-  const int out_buf_id = buf_of.at(out_arg);
-  buffers[static_cast<std::size_t>(out_buf_id)].last_use =
-      static_cast<int>(e->plan_.size());  // alive past the end
-  buffers[0].last_use = std::max(buffers[0].last_use, 0);
-
-  // --- greedy arena assignment (first-fit over freed blocks) ---------------
-  // This inline planner was the prototype for the shared tape planner; it is
-  // now a client of passes::first_fit_pack, which preserves its step
-  // semantics exactly (input allocated before step 0, per step allocate
-  // definitions in buffer order then free last-uses), so planner_saving()
-  // is bit-identical to the pre-extraction engine.
-  std::vector<passes::LiveRange> ranges;
-  ranges.reserve(buffers.size());
-  for (const auto& b : buffers) {
-    ranges.push_back(passes::LiveRange{b.size, b.def_op, b.last_use});
-  }
-  const passes::FirstFitPacking packed =
-      passes::first_fit_pack(ranges, static_cast<int>(e->plan_.size()));
-  for (std::size_t b = 0; b < buffers.size(); ++b) {
-    buffers[b].offset = packed.offsets[b];
-  }
-  const std::int64_t high_water = packed.high_water;
-
-  // Swap buffer ids for offsets in the plan.
-  for (auto& op : e->plan_) {
-    auto off = [&](std::int64_t id) {
-      return id < 0 ? -1 : buffers[static_cast<std::size_t>(id)].offset;
-    };
-    op.in_off = off(op.in_off);
-    op.in2_off = off(op.in2_off);
-    op.out_off = off(op.out_off);
-  }
-  e->input_off_ = buffers[0].offset;
-  e->output_off_ = buffers[static_cast<std::size_t>(out_buf_id)].offset;
-  e->output_shape_ = out_arg->shape();
-  e->arena_.assign(static_cast<std::size_t>(high_water), 0.f);
-  e->im2col_.assign(static_cast<std::size_t>(im2col_max), 0.f);
-  e->stats_.plan_ops = static_cast<int>(e->plan_.size());
-  e->stats_.arena_bytes = static_cast<std::size_t>(high_water) * 4;
-  std::int64_t unplanned = 0;
-  for (const auto& b : buffers) unplanned += b.size;
-  e->stats_.unplanned_bytes = static_cast<std::size_t>(unplanned) * 4;
   return e;
-}
-
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
-
-void Engine::exec_op(const EngineOp& op, float* arena) const {
-  const float* in = arena + op.in_off;
-  float* out = arena + op.out_off;
-  const std::int64_t n_out = shape_numel(op.out_shape);
-  switch (op.kind) {
-    case EngineOp::Kind::Conv: {
-      const std::int64_t N = op.in_shape[0], C = op.in_shape[1],
-                         H = op.in_shape[2], W = op.in_shape[3];
-      const std::int64_t O = op.out_shape[1], OH = op.out_shape[2],
-                         OW = op.out_shape[3];
-      const std::int64_t kh = op.kernel[0], kw = op.kernel[1];
-      const std::int64_t sh = op.stride[0], sw = op.stride[1];
-      const std::int64_t ph = op.padding[0], pw = op.padding[1];
-      const std::int64_t k = C * kh * kw, spatial = OH * OW;
-      const float* wp = op.weight.data<float>();
-      const float* bp = op.bias.data<float>();
-      // Kernel specialization (the TensorRT-style build-time tactic
-      // selection): a 1x1 stride-1 unpadded conv IS a GEMM over the input
-      // feature map — no im2col gather at all.
-      const bool pointwise =
-          kh == 1 && kw == 1 && sh == 1 && sw == 1 && ph == 0 && pw == 0;
-      float* col = const_cast<float*>(im2col_.data());
-      for (std::int64_t img = 0; img < N; ++img) {
-        const float* xin = in + img * C * H * W;
-        if (pointwise) {
-          float* yout = out + img * O * spatial;
-          const bool fuse = op.fuse_relu;
-          rt::parallel_for(0, O, 4, [&](std::int64_t o0, std::int64_t o1) {
-            for (std::int64_t o = o0; o < o1; ++o) {
-              float* yrow = yout + o * spatial;
-              const float base = bp[o];
-              for (std::int64_t j = 0; j < spatial; ++j) yrow[j] = base;
-              const float* wrow = wp + o * C;
-              for (std::int64_t c = 0; c < C; ++c) {
-                const float wv = wrow[c];
-                const float* crow = xin + c * spatial;
-                for (std::int64_t j = 0; j < spatial; ++j) {
-                  yrow[j] += wv * crow[j];
-                }
-              }
-              if (fuse) {
-                for (std::int64_t j = 0; j < spatial; ++j) {
-                  yrow[j] = yrow[j] > 0.f ? yrow[j] : 0.f;
-                }
-              }
-            }
-          });
-          continue;
-        }
-        for (std::int64_t c = 0; c < C; ++c) {
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            for (std::int64_t kx = 0; kx < kw; ++kx) {
-              float* crow = col + ((c * kh + ky) * kw + kx) * spatial;
-              for (std::int64_t oy = 0; oy < OH; ++oy) {
-                const std::int64_t iy = oy * sh - ph + ky;
-                if (iy < 0 || iy >= H) {
-                  std::memset(crow + oy * OW, 0,
-                              static_cast<std::size_t>(OW) * sizeof(float));
-                  continue;
-                }
-                const float* irow = xin + (c * H + iy) * W;
-                for (std::int64_t ox = 0; ox < OW; ++ox) {
-                  const std::int64_t ix = ox * sw - pw + kx;
-                  crow[oy * OW + ox] = (ix >= 0 && ix < W) ? irow[ix] : 0.f;
-                }
-              }
-            }
-          }
-        }
-        float* yout = out + img * O * spatial;
-        const bool fuse = op.fuse_relu;
-        rt::parallel_for(0, O, 4, [&](std::int64_t o0, std::int64_t o1) {
-          for (std::int64_t o = o0; o < o1; ++o) {
-            float* yrow = yout + o * spatial;
-            const float base = bp[o];
-            for (std::int64_t j = 0; j < spatial; ++j) yrow[j] = base;
-            const float* wrow = wp + o * k;
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-              const float wv = wrow[kk];
-              if (wv == 0.f) continue;
-              const float* crow = col + kk * spatial;
-              for (std::int64_t j = 0; j < spatial; ++j) yrow[j] += wv * crow[j];
-            }
-            if (fuse) {
-              for (std::int64_t j = 0; j < spatial; ++j) {
-                yrow[j] = yrow[j] > 0.f ? yrow[j] : 0.f;
-              }
-            }
-          }
-        });
-      }
-      break;
-    }
-    case EngineOp::Kind::Linear: {
-      const std::int64_t in_f = op.weight.size(1), out_f = op.weight.size(0);
-      const std::int64_t rows = shape_numel(op.in_shape) / in_f;
-      const float* wp = op.weight.data<float>();
-      const float* bp = op.bias.data<float>();
-      const bool fuse = op.fuse_relu;
-      rt::parallel_for(0, rows, 8, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t i = r0; i < r1; ++i) {
-          const float* xrow = in + i * in_f;
-          float* yrow = out + i * out_f;
-          for (std::int64_t j = 0; j < out_f; ++j) {
-            const float* wrow = wp + j * in_f;
-            float acc = bp[j];
-            for (std::int64_t kk = 0; kk < in_f; ++kk) acc += xrow[kk] * wrow[kk];
-            yrow[j] = fuse && acc < 0.f ? 0.f : acc;
-          }
-        }
-      });
-      break;
-    }
-    case EngineOp::Kind::Add: {
-      const float* in2 = arena + op.in2_off;
-      if (op.fuse_relu) {
-        for (std::int64_t i = 0; i < n_out; ++i) {
-          const float v = in[i] + in2[i];
-          out[i] = v > 0.f ? v : 0.f;
-        }
-      } else {
-        for (std::int64_t i = 0; i < n_out; ++i) out[i] = in[i] + in2[i];
-      }
-      break;
-    }
-    case EngineOp::Kind::Relu:
-      for (std::int64_t i = 0; i < n_out; ++i) out[i] = in[i] > 0.f ? in[i] : 0.f;
-      break;
-    case EngineOp::Kind::Sigmoid:
-      for (std::int64_t i = 0; i < n_out; ++i) out[i] = 1.f / (1.f + std::exp(-in[i]));
-      break;
-    case EngineOp::Kind::Tanh:
-      for (std::int64_t i = 0; i < n_out; ++i) out[i] = std::tanh(in[i]);
-      break;
-    case EngineOp::Kind::MaxPool: {
-      const std::int64_t C = op.in_shape[0] * op.in_shape[1];
-      const std::int64_t H = op.in_shape[2], W = op.in_shape[3];
-      const std::int64_t OH = op.out_shape[2], OW = op.out_shape[3];
-      for (std::int64_t p = 0; p < C; ++p) {
-        const float* ip = in + p * H * W;
-        float* opx = out + p * OH * OW;
-        for (std::int64_t oy = 0; oy < OH; ++oy) {
-          for (std::int64_t ox = 0; ox < OW; ++ox) {
-            float m = -1e30f;
-            for (std::int64_t ky = 0; ky < op.kernel[0]; ++ky) {
-              const std::int64_t iy = oy * op.stride[0] - op.padding[0] + ky;
-              if (iy < 0 || iy >= H) continue;
-              for (std::int64_t kx = 0; kx < op.kernel[1]; ++kx) {
-                const std::int64_t ix = ox * op.stride[1] - op.padding[1] + kx;
-                if (ix < 0 || ix >= W) continue;
-                m = std::max(m, ip[iy * W + ix]);
-              }
-            }
-            opx[oy * OW + ox] = m;
-          }
-        }
-      }
-      break;
-    }
-    case EngineOp::Kind::AdaptiveAvgPool: {
-      const std::int64_t C = op.in_shape[0] * op.in_shape[1];
-      const std::int64_t H = op.in_shape[2], W = op.in_shape[3];
-      const std::int64_t OH = op.out_shape[2], OW = op.out_shape[3];
-      for (std::int64_t p = 0; p < C; ++p) {
-        const float* ip = in + p * H * W;
-        float* opx = out + p * OH * OW;
-        for (std::int64_t oy = 0; oy < OH; ++oy) {
-          const std::int64_t y0 = oy * H / OH, y1 = ((oy + 1) * H + OH - 1) / OH;
-          for (std::int64_t ox = 0; ox < OW; ++ox) {
-            const std::int64_t x0 = ox * W / OW, x1 = ((ox + 1) * W + OW - 1) / OW;
-            float acc = 0.f;
-            for (std::int64_t iy = y0; iy < y1; ++iy) {
-              for (std::int64_t ix = x0; ix < x1; ++ix) acc += ip[iy * W + ix];
-            }
-            opx[oy * OW + ox] = acc / static_cast<float>((y1 - y0) * (x1 - x0));
-          }
-        }
-      }
-      break;
-    }
-    case EngineOp::Kind::Identity:
-      if (out != in) {
-        std::memcpy(out, in, static_cast<std::size_t>(n_out) * sizeof(float));
-      }
-      break;
-  }
 }
 
 Tensor Engine::run(const Tensor& input) {
@@ -545,14 +124,7 @@ Tensor Engine::run(const Tensor& input) {
         " does not match the build shape " + shape_str(input_shape_) +
         " (TRTSim engines are static-shape, like TensorRT)");
   }
-  const Tensor ic = input.contiguous();
-  std::memcpy(arena_.data() + input_off_, ic.data<float>(),
-              static_cast<std::size_t>(ic.numel()) * sizeof(float));
-  for (const EngineOp& op : plan_) exec_op(op, arena_.data());
-  Tensor out(output_shape_, DType::Float32);
-  std::memcpy(out.data<float>(), arena_.data() + output_off_,
-              static_cast<std::size_t>(out.numel()) * sizeof(float));
-  return out;
+  return gm_->run_planned(input);
 }
 
 std::string EngineStats::to_string() const {

@@ -2,59 +2,40 @@
 // in the paper's Section 6.4 lowering experiment (no GPU exists here; see
 // DESIGN.md's substitution table).
 //
-// It reproduces the *mechanisms* that make an AoT backend beat eager
-// per-operator execution, which is the effect Figure 8 measures:
-//   * build-time operator fusion: Conv+BN folded into conv weights,
-//     ReLU fused into the epilogue of Conv/Linear/Add kernels
-//   * static memory planning: liveness-based buffer reuse in one arena,
-//     zero allocations at run time (plus a prebuilt im2col scratch)
-//   * a flat execution plan: no dispatch, no refcounting, no Python-like
-//     interpretation between kernels
-//
+// An engine is a lowering, not a second interpreter: it is the ordered pass
+// pipeline below applied to a private copy of the segment, run on the same
+// planned tape and kernel layer as every other backend.
+//   1. clone   — Graph::clone into an engine-owned GraphModule whose root is
+//                a fresh, flat module holding the segment's call_module
+//                targets (same module objects, flattened qualnames), so the
+//                passes below can never rewrite the caller's hierarchy
+//   2. fuse    — passes::fuse_conv_bn folds BN into conv weights;
+//                passes::fuse_linear_relu moves ReLU into the GEMM epilogue
+//                of the preceding Conv2d / Linear
+//   3. plan    — passes::compile_planned at the fixed build shape: every
+//                intermediate gets a static slot in one pooled arena
+//   4. run     — run_planned: a flat tape whose call targets and op-registry
+//                entries were resolved at recompile, no per-op dispatch
 // Engines are built for a static input shape, exactly like a TensorRT
-// engine built for fixed dims.
+// engine built for fixed dims. run() is safe to call from many threads at
+// once (each run leases its own arena from the plan cache).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/graph_module.h"
 
 namespace fxcpp::trt {
 
-// One fused kernel invocation in the execution plan.
-struct EngineOp {
-  enum class Kind {
-    Conv,          // conv2d (+ folded BN) (+ fused ReLU)
-    Linear,        // linear (+ fused ReLU)
-    Add,           // elementwise add (+ fused ReLU)
-    Relu,
-    Sigmoid,
-    Tanh,
-    MaxPool,
-    AdaptiveAvgPool,
-    Identity,      // flatten/reshape/dropout: logical only, aliases buffers
-  };
-  Kind kind = Kind::Identity;
-  bool fuse_relu = false;
-
-  Shape in_shape, in2_shape, out_shape;
-  std::vector<std::int64_t> stride{1, 1}, padding{0, 0}, kernel{1, 1};
-  Tensor weight, bias;  // prepared at build time (BN already folded)
-
-  // Arena offsets (floats) of inputs/output; -1 second input = unused.
-  std::int64_t in_off = -1, in2_off = -1, out_off = -1;
-};
-
 struct EngineStats {
-  int plan_ops = 0;
-  int fused_batchnorms = 0;
-  int fused_relus = 0;
-  std::size_t arena_bytes = 0;     // after liveness-based buffer reuse
-  std::size_t unplanned_bytes = 0; // sum of all logical buffers (no reuse)
-  std::size_t weight_bytes = 0;
+  int plan_ops = 0;                // instructions on the planned tape
+  int fused_batchnorms = 0;        // fuse_conv_bn's count
+  int fused_relus = 0;             // fuse_linear_relu's count
+  std::size_t arena_bytes = 0;     // TapePlan::arena_bytes (after reuse)
+  std::size_t unplanned_bytes = 0; // TapePlan::unplanned_bytes (no reuse)
+  std::size_t weight_bytes = 0;    // parameters of the modules the tape calls
   // Memory saved by the static planner (the paper's "memory
   // planning/scheduling" requirement for specialized processors, §6.4).
   double planner_saving() const {
@@ -68,11 +49,11 @@ struct EngineStats {
 
 class Engine {
  public:
-  // Compile `gm` for a fixed input shape. The source GraphModule and its
-  // weights are read, never mutated. Throws std::invalid_argument when the
-  // graph contains an unsupported node (use lower_to_trtsim() for
-  // auto-splitting instead).
-  static std::unique_ptr<Engine> build(fx::GraphModule& gm,
+  // Compile `gm` for a fixed input shape. The source GraphModule, its module
+  // hierarchy, weights and node meta are never mutated. Throws
+  // std::invalid_argument when the graph contains an unsupported node (use
+  // lower_to_trtsim() for auto-splitting instead).
+  static std::unique_ptr<Engine> build(const fx::GraphModule& gm,
                                        const Shape& input_shape);
 
   // Execute the plan. `input` must match the build shape.
@@ -82,13 +63,9 @@ class Engine {
 
  private:
   Engine() = default;
-  void exec_op(const EngineOp& op, float* arena) const;
 
-  std::vector<EngineOp> plan_;
-  std::vector<float> arena_;
-  std::vector<float> im2col_;
-  Shape input_shape_, output_shape_;
-  std::int64_t input_off_ = 0, output_off_ = 0;
+  std::shared_ptr<fx::GraphModule> gm_;
+  Shape input_shape_;
   EngineStats stats_;
 };
 

@@ -3,11 +3,11 @@
 // run (forced through the dispatch layer), per-tier bit-determinism, fused
 // epilogues (bias row/col, ReLU, int8 requantize), prepacked-A parity,
 // PackCache panel caching/eviction, the ops::transpose fast path, the
-// linear+ReLU fusion pass (module and function forms plus its downstream
-// guards), and a traced ResNet-18 engine-parity regression. All randomness
-// is seeded. scripts/check.sh runs this binary under ASan and TSan, and
-// ctest additionally re-runs it with FXCPP_KERNEL_ISA=scalar so the
-// fallback tier stays green everywhere.
+// linear/conv+ReLU fusion pass (module and function forms plus its
+// downstream guards), and a traced ResNet-18 engine-parity regression. All
+// randomness is seeded. scripts/check.sh runs this binary under ASan and
+// TSan, and ctest additionally re-runs it with FXCPP_KERNEL_ISA=scalar so
+// the fallback tier stays green everywhere.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -310,6 +310,17 @@ TEST(KernelOps, LinearReluBitEqualsReluOfLinear) {
     EXPECT_TRUE(bit_equal(ops::linear_relu(x, w, Tensor()),
                           ops::relu(ops::linear(x, w, Tensor()))))
         << kernels::isa_name(isa);
+    // Conv2d rides the same epilogue (bias per output row).
+    const Tensor img = Tensor::randn({2, 3, 9, 7});
+    const Tensor cw = Tensor::randn({5, 3, 3, 3});
+    const Tensor cb = Tensor::randn({5});
+    EXPECT_TRUE(bit_equal(ops::conv2d_relu(img, cw, cb, {2, 1}, {1, 0}),
+                          ops::relu(ops::conv2d(img, cw, cb, {2, 1}, {1, 0}))))
+        << kernels::isa_name(isa);
+    EXPECT_TRUE(bit_equal(ops::conv2d_relu(img, cw, Tensor(), {1, 1}, {1, 1}),
+                          ops::relu(ops::conv2d(img, cw, Tensor(), {1, 1},
+                                                {1, 1}))))
+        << kernels::isa_name(isa);
   }
 }
 
@@ -413,7 +424,7 @@ TEST(PackCachePanels, EvictionKeepsSharedPtrAliveAndAdjustsBytes) {
   cache.set_capacity(0);
   EXPECT_EQ(cache.panel_size(), 0u);
   EXPECT_LT(cache.stats().panel_bytes, bytes_before);
-  cache.set_capacity(64);
+  cache.set_capacity(PackCache::kDefaultCapacity);
   cache.clear();
 }
 
@@ -464,6 +475,37 @@ TEST(FuseLinearRelu, ModulePatternSwapsInLinearReLU) {
 
   // Idempotent: LinearReLU itself never re-matches.
   EXPECT_EQ(passes::fuse_linear_relu(*gm), 0);
+
+  // Conv2d -> ReLU swaps in a Conv2dReLU over the conv's own parameters.
+  auto conv_seq = std::make_shared<nn::Sequential>();
+  auto conv = std::make_shared<nn::Conv2d>(3, 4, 3, 1, 1);
+  conv_seq->append(conv);
+  conv_seq->append(std::make_shared<nn::ReLU>());
+  auto cgm = fx::symbolic_trace(conv_seq);
+  const Tensor img = Tensor::randn({2, 3, 6, 6});
+  const Tensor cbefore =
+      fx::rt_tensor(fx::Interpreter(*cgm).run({RtValue(img)}));
+  EXPECT_EQ(passes::fuse_linear_relu(*cgm), 1);
+  int conv_relu_mods = 0;
+  relu_calls = 0;
+  for (const fx::Node* n : cgm->graph().nodes()) {
+    if (n->op() != fx::Opcode::CallModule) continue;
+    const auto m = cgm->resolve_module(n->target());
+    if (dynamic_cast<const nn::ReLU*>(m.get())) ++relu_calls;
+    if (const auto* cr = dynamic_cast<const nn::Conv2dReLU*>(m.get())) {
+      ++conv_relu_mods;
+      EXPECT_TRUE(
+          cr->param("weight").shares_storage_with(conv->param("weight")));
+    }
+  }
+  EXPECT_EQ(relu_calls, 0);
+  EXPECT_EQ(conv_relu_mods, 1);
+  EXPECT_TRUE(bit_equal(
+      cbefore, fx::rt_tensor(fx::Interpreter(*cgm).run({RtValue(img)}))));
+  EXPECT_TRUE(bit_equal(cbefore, std::get<Tensor>(cgm->compiled_graph()
+                                                      .run({RtValue(img)})
+                                                      .front())));
+  EXPECT_EQ(passes::fuse_linear_relu(*cgm), 0);
 }
 
 TEST(FuseLinearRelu, FunctionPatternRewritesTarget) {
@@ -489,6 +531,30 @@ TEST(FuseLinearRelu, FunctionPatternRewritesTarget) {
 
   const Tensor after = fx::rt_tensor(fx::Interpreter(*gm).run({RtValue(x)}));
   EXPECT_TRUE(bit_equal(before, after));
+
+  // conv2d -> relu retargets to conv2d_relu.
+  const Tensor cw = Tensor::randn({4, 2, 3, 3});
+  const Tensor cb = Tensor::randn({4});
+  fx::Tracer ctracer;
+  auto cgm = ctracer.trace_function([&](const std::vector<fx::Value>& in) {
+    return fx::fn::relu(fx::fn::conv2d(in.at(0), fx::Value(cw), fx::Value(cb),
+                                       {1, 1}, {1, 1}));
+  });
+  const Tensor img = Tensor::randn({1, 2, 5, 5});
+  const Tensor cbefore =
+      fx::rt_tensor(fx::Interpreter(*cgm).run({RtValue(img)}));
+  EXPECT_EQ(passes::fuse_linear_relu(*cgm), 1);
+  int conv_relu_calls = 0;
+  relu_calls = 0;
+  for (const fx::Node* n : cgm->graph().nodes()) {
+    if (n->op() != fx::Opcode::CallFunction) continue;
+    if (n->target() == "conv2d_relu") ++conv_relu_calls;
+    if (n->target() == "relu") ++relu_calls;
+  }
+  EXPECT_EQ(conv_relu_calls, 1);
+  EXPECT_EQ(relu_calls, 0);
+  EXPECT_TRUE(bit_equal(
+      cbefore, fx::rt_tensor(fx::Interpreter(*cgm).run({RtValue(img)}))));
 }
 
 TEST(FuseLinearRelu, MultiConsumerLinearIsNotFused) {
@@ -502,6 +568,15 @@ TEST(FuseLinearRelu, MultiConsumerLinearIsNotFused) {
     return fx::fn::add(fx::fn::relu(y), y);
   });
   EXPECT_EQ(passes::fuse_linear_relu(*gm), 0);
+
+  const Tensor cw = Tensor::randn({3, 3, 1, 1});
+  fx::Tracer ctracer;
+  auto cgm = ctracer.trace_function([&](const std::vector<fx::Value>& in) {
+    const fx::Value y =
+        fx::fn::conv2d(in.at(0), fx::Value(cw), fx::Value(), {1, 1}, {0, 0});
+    return fx::fn::add(fx::fn::relu(y), y);
+  });
+  EXPECT_EQ(passes::fuse_linear_relu(*cgm), 0);
 }
 
 TEST(FuseLinearRelu, QuantizerLeavesLinearReLUInFloat) {
@@ -518,6 +593,17 @@ TEST(FuseLinearRelu, QuantizerLeavesLinearReLUInFloat) {
   auto qgm = quant::quantize_model(seq, {x, Tensor::randn({2, 8})});
   const Tensor got = fx::rt_tensor(fx::Interpreter(*qgm).run({RtValue(x)}));
   EXPECT_TRUE(bit_equal(ref, got));
+
+  // Same contract for Conv2dReLU.
+  auto cseq = std::make_shared<nn::Sequential>();
+  cseq->append(std::make_shared<nn::Conv2dReLU>(nn::Conv2d(2, 3, 3, 1, 1)));
+  auto cgm = fx::symbolic_trace(cseq);
+  const Tensor img = Tensor::randn({1, 2, 4, 4});
+  const Tensor cref = fx::rt_tensor(fx::Interpreter(*cgm).run({RtValue(img)}));
+  auto cqgm =
+      quant::quantize_model(cseq, {img, Tensor::randn({1, 2, 4, 4})});
+  EXPECT_TRUE(bit_equal(
+      cref, fx::rt_tensor(fx::Interpreter(*cqgm).run({RtValue(img)}))));
 }
 
 // --------------------------------------------------------------------------

@@ -455,7 +455,7 @@ TEST(PackCacheTest, EvictsFifoAtCapacity) {
   }
   EXPECT_LE(pc.size(), 2u);
   EXPECT_GE(pc.stats().evictions, 1);
-  pc.set_capacity(64);
+  pc.set_capacity(PackCache::kDefaultCapacity);
   pc.clear();
 }
 

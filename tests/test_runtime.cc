@@ -58,6 +58,22 @@ TEST(ParallelFor, ParallelSumMatchesSerial) {
   set_num_threads(1);
 }
 
+// Many short calls back to back: each call's completion mutex lives on the
+// caller's stack, so a worker still touching it after the caller has
+// returned shows up here (under ThreadSanitizer) as a race with the next
+// call's frame.
+TEST(ParallelFor, RepeatedShortCallsAtFourThreads) {
+  set_num_threads(4);
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::atomic<std::int64_t> sum{0};
+    parallel_for(0, 8, 1, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) sum += i;
+    });
+    ASSERT_EQ(sum.load(), 28) << "iteration " << iter;
+  }
+  set_num_threads(1);
+}
+
 TEST(ThreadSetting, Roundtrip) {
   set_num_threads(3);
   EXPECT_EQ(get_num_threads(), 3);

@@ -1,13 +1,20 @@
 // TRTSim backend tests (Section 6.4): engine numerics vs eager execution,
-// build-time fusion stats, static-shape enforcement, and automatic model
-// splitting around unsupported operators.
+// build-time fusion stats, static-shape enforcement, automatic model
+// splitting around unsupported operators, source immutability under
+// lowering, and concurrent engine runs.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
+#include <thread>
 
 #include "core/functional.h"
 #include "core/tracer.h"
 #include "nn/models/learning_to_paint.h"
 #include "nn/models/mlp.h"
 #include "nn/models/resnet.h"
+#include "passes/fuse_conv_bn.h"
+#include "passes/shape_prop.h"
 #include "tensor/ops.h"
 #include "trt/lower.h"
 
@@ -16,6 +23,15 @@ namespace {
 
 using fx::Node;
 using fx::Value;
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  if (a.sizes() != b.sizes() || a.dtype() != b.dtype()) return false;
+  const Tensor ac = a.contiguous();
+  const Tensor bc = b.contiguous();
+  return std::memcmp(ac.data<float>(), bc.data<float>(),
+                     static_cast<std::size_t>(ac.numel()) * sizeof(float)) ==
+         0;
+}
 
 TEST(Engine, MlpMatchesEager) {
   auto model = nn::models::mlp({16, 32, 8}, "relu");
@@ -127,6 +143,83 @@ TEST(Lower, LoweredModuleIsStillAModule) {
   auto retraced = fx::symbolic_trace(
       std::static_pointer_cast<nn::Module>(lowered.module));
   EXPECT_TRUE(allclose(retraced->run(x), gm->run(x), 1e-4, 1e-5));
+}
+
+TEST(Lower, SourceModuleIsNeverMutated) {
+  // The engine's fusion passes rewrite module hierarchies and node meta;
+  // they must do so on the engine's private copy only. split_module hands
+  // every segment the source's root, so this covers lower_to_trtsim as well
+  // as a direct Engine::build.
+  auto model = nn::models::resnet18(8, 10);
+  auto gm = fx::symbolic_trace(model);
+  Tensor x = Tensor::randn({1, 3, 32, 32});
+  passes::shape_prop(*gm, {x});
+  const Tensor before = gm->run(x);
+  const std::string code = gm->code();
+  const std::string hierarchy = model->describe();
+  std::map<std::string, nn::Module::Ptr> modules;
+  std::vector<std::map<std::string, fx::MetaValue>> meta;
+  for (const Node* n : gm->graph().nodes()) {
+    if (n->op() == fx::Opcode::CallModule) {
+      modules[n->target()] = gm->resolve_module(n->target());
+    }
+    meta.push_back(n->all_meta());
+  }
+  std::vector<std::pair<std::string, Tensor>> state;
+  for (const auto& [name, t] : model->named_state()) {
+    state.emplace_back(name, t.clone());
+  }
+
+  auto lowered = trt::lower_to_trtsim(gm, x);
+  auto engine = trt::Engine::build(*gm, x.sizes());
+  EXPECT_EQ(engine->stats().fused_batchnorms, 20);
+
+  EXPECT_TRUE(bit_equal(gm->run(x), before));
+  EXPECT_EQ(gm->code(), code);
+  EXPECT_EQ(model->describe(), hierarchy);
+  std::size_t i = 0;
+  for (const Node* n : gm->graph().nodes()) {
+    if (n->op() == fx::Opcode::CallModule) {
+      EXPECT_EQ(gm->resolve_module(n->target()), modules.at(n->target()))
+          << n->target();
+    }
+    ASSERT_LT(i, meta.size());
+    EXPECT_TRUE(n->all_meta() == meta[i++]) << n->name();
+  }
+  const auto after_state = model->named_state();
+  ASSERT_EQ(after_state.size(), state.size());
+  for (std::size_t k = 0; k < state.size(); ++k) {
+    EXPECT_EQ(after_state[k].first, state[k].first);
+    EXPECT_TRUE(bit_equal(after_state[k].second, state[k].second))
+        << state[k].first;
+  }
+  // Nothing was folded away: the source still has all its pairs to fuse.
+  EXPECT_EQ(passes::fuse_conv_bn(*gm), 20);
+}
+
+TEST(Engine, ConcurrentRunsBitEqualSerial) {
+  auto model = nn::models::resnet18(8, 10);
+  auto gm = fx::symbolic_trace(model);
+  auto engine = trt::Engine::build(*gm, {1, 3, 32, 32});
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 8;
+  std::vector<Tensor> inputs, serial;
+  for (int t = 0; t < kThreads; ++t) {
+    inputs.push_back(Tensor::randn({1, 3, 32, 32}));
+    serial.push_back(engine->run(inputs.back()));
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRuns; ++r) {
+        const auto i = static_cast<std::size_t>(t);
+        if (!bit_equal(engine->run(inputs[i]), serial[i])) ++mismatches[i];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 }  // namespace
