@@ -11,7 +11,9 @@
 #include "passes/cleanup.h"
 #include "passes/flops.h"
 #include "passes/fuse_conv_bn.h"
+#include "passes/memory_planner.h"
 #include "passes/shape_prop.h"
+#include "passes/symbolic_shapes.h"
 
 using namespace fxcpp;
 
@@ -33,6 +35,27 @@ void BM_ShapePropResNet50(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShapePropResNet50);
+
+// The same meta as BM_ShapePropResNet50, from the transfer rules alone.
+void BM_InferMetaResNet50(benchmark::State& state) {
+  auto gm = fx::symbolic_trace(nn::models::resnet50(8, 10));
+  Tensor x = Tensor::randn({1, 3, 32, 32});
+  for (auto _ : state) {
+    passes::infer_meta(*gm, {x});
+  }
+}
+BENCHMARK(BM_InferMetaResNet50);
+
+// Planned-mode setup: infer_meta + plan_tape + plan cache.
+void BM_CompilePlannedResNet50(benchmark::State& state) {
+  auto gm = fx::symbolic_trace(nn::models::resnet50(8, 10));
+  gm->recompile();
+  Tensor x = Tensor::randn({1, 3, 32, 32});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&passes::compile_planned(*gm, {x}));
+  }
+}
+BENCHMARK(BM_CompilePlannedResNet50);
 
 void BM_FlopsEstimate(benchmark::State& state) {
   auto gm = fx::symbolic_trace(nn::models::resnet50(8, 10));

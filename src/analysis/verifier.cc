@@ -209,7 +209,8 @@ void check_meta_pairs(const RuleContext& ctx, std::vector<Diagnostic>& out) {
            std::string("node has meta[\"") +
                (has_shape ? "shape" : "dtype") + "\"] but no meta[\"" +
                (has_shape ? "dtype" : "shape") + "\"]",
-           "ShapeProp sets both; partial meta suggests a buggy transform");
+           "ShapeProp and infer_meta set both; partial meta suggests a buggy "
+           "transform");
     }
   }
 }

@@ -297,7 +297,7 @@ class GraphModule : public nn::Module {
                           std::shared_ptr<PlanCacheEntry>* entry_out);
   // Miss path: double-checked peek, then plan at the signature's canonical
   // shapes (replanner) and insert. Serialized by replan_mu_ because
-  // replanning runs ShapeProp, which writes node meta.
+  // replanning re-infers shape/dtype meta, which writes node meta.
   std::shared_ptr<PlanCacheEntry> replan_into_cache(
       const std::vector<RtValue>& inputs);
 

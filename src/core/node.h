@@ -72,7 +72,8 @@ class Node {
   void clear_meta(const std::string& key) { meta_.erase(key); }
   const std::map<std::string, MetaValue>& all_meta() const { return meta_; }
 
-  // Shape/dtype shorthand over meta (set by passes::ShapeProp).
+  // Shape/dtype shorthand over meta (set by passes::ShapeProp or
+  // passes::infer_meta).
   bool has_shape() const { return has_meta("shape"); }
   const Shape& shape() const { return std::get<Shape>(meta("shape")); }
   DType dtype() const { return std::get<DType>(meta("dtype")); }

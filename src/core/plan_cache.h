@@ -1,8 +1,9 @@
 // Guard-keyed multi-plan cache for dynamic input shapes.
 //
 // The replanner (passes::compile_planned) makes planned execution shape-
-// polymorphic, but it re-plans — ShapeProp (a full graph interpretation)
-// plus alias analysis plus first-fit packing — on *every* shape change.
+// polymorphic, but it re-plans — shape inference over the graph
+// (passes::infer_meta) plus alias analysis plus first-fit packing — on
+// *every* shape change.
 // Production traffic has a few hot shapes; this cache maps an input-shape
 // signature (the same shape/dtype facts the PR 4 GuardSpecs pin) to a fully
 // specialized planned tape, so mixed-shape traffic plans each distinct

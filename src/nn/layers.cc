@@ -70,17 +70,21 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
   if (bias) register_parameter("bias", init_weight({out_}, fan_in));
 }
 
-Conv2d::Conv2d(std::string kind, const Conv2d& src)
+Conv2d::Conv2d(std::string kind, const Conv2d& src, Tensor weight,
+               Tensor bias)
     : Module(std::move(kind), /*builtin=*/true),
       in_(src.in_),
       out_(src.out_),
       kernel_(src.kernel_),
       stride_(src.stride_),
       padding_(src.padding_),
-      has_bias_(src.has_bias_) {
-  register_parameter("weight", src.param("weight"));
-  if (has_bias_) register_parameter("bias", src.param("bias"));
+      has_bias_(bias.defined()) {
+  register_parameter("weight", std::move(weight));
+  if (has_bias_) register_parameter("bias", std::move(bias));
 }
+
+Conv2d::Conv2d(const Conv2d& src, Tensor weight, Tensor bias)
+    : Conv2d("Conv2d", src, std::move(weight), std::move(bias)) {}
 
 fx::Value Conv2d::forward(const std::vector<fx::Value>& inputs) {
   return fx::fn::conv2d(inputs.at(0), param_value("weight"),
@@ -88,7 +92,9 @@ fx::Value Conv2d::forward(const std::vector<fx::Value>& inputs) {
                         {stride_, stride_}, {padding_, padding_});
 }
 
-Conv2dReLU::Conv2dReLU(const Conv2d& src) : Conv2d("Conv2dReLU", src) {}
+Conv2dReLU::Conv2dReLU(const Conv2d& src)
+    : Conv2d("Conv2dReLU", src, src.param("weight"),
+             src.has_bias() ? src.param("bias") : Tensor()) {}
 
 fx::Value Conv2dReLU::forward(const std::vector<fx::Value>& inputs) {
   return fx::fn::conv2d_relu(inputs.at(0), param_value("weight"),

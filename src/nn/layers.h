@@ -57,6 +57,9 @@ class Conv2d : public Module {
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
          std::int64_t kernel, std::int64_t stride = 1, std::int64_t padding = 0,
          bool bias = true);
+  // `src`'s configuration over the given parameter tensors (bias optional);
+  // no initialization is drawn. How fuse_conv_bn installs a folded conv.
+  Conv2d(const Conv2d& src, Tensor weight, Tensor bias);
   fx::Value forward(const std::vector<fx::Value>& inputs) override;
 
   std::int64_t in_channels() const { return in_; }
@@ -66,9 +69,9 @@ class Conv2d : public Module {
   bool has_bias() const { return has_bias_; }
 
  protected:
-  // Subclass hook (Conv2dReLU): `src`'s configuration and its parameter
-  // tensors (shared, not copied; no fresh initialization is drawn).
-  Conv2d(std::string kind, const Conv2d& src);
+  // Subclass hook (Conv2dReLU): `src`'s configuration over the given
+  // parameter tensors (shared, not copied; no fresh initialization is drawn).
+  Conv2d(std::string kind, const Conv2d& src, Tensor weight, Tensor bias);
 
  private:
   std::int64_t in_, out_, kernel_, stride_, padding_;
@@ -148,6 +151,7 @@ class Flatten : public Module {
  public:
   explicit Flatten(std::int64_t start_dim = 1);
   fx::Value forward(const std::vector<fx::Value>& inputs) override;
+  std::int64_t start_dim() const { return start_dim_; }
 
  private:
   std::int64_t start_dim_;

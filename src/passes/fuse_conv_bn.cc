@@ -63,14 +63,11 @@ int fuse_conv_bn(fx::GraphModule& gm) {
         bn->param("running_mean"), bn->param("running_var"),
         bn->param("weight"), bn->param("bias"), bn->eps());
 
-    // Install a fused conv (with bias) at the conv's path, rewire the graph.
-    auto fused_conv = std::make_shared<nn::Conv2d>(
-        conv->in_channels(), conv->out_channels(),
-        conv->param("weight").size(2), conv->stride()[0], conv->padding()[0],
-        /*bias=*/true);
-    fused_conv->param("weight") = params.weight;
-    fused_conv->param("bias") = params.bias;
-    gm.root()->set_submodule(conv_node->target(), fused_conv);
+    // Install a fused conv (the source's configuration over the folded
+    // tensors) at the conv's path, rewire the graph.
+    gm.root()->set_submodule(
+        conv_node->target(),
+        std::make_shared<nn::Conv2d>(*conv, params.weight, params.bias));
 
     // The conv now computes the folded conv+BN values; its recorded meta
     // (and that of the rewired BN users) described the pre-fusion program.

@@ -4,7 +4,7 @@
 #include <cstddef>
 
 #include "analysis/dataflow.h"  // alias_summary: shared freshness/lifetime facts
-#include "passes/shape_prop.h"
+#include "passes/symbolic_shapes.h"
 #include "tensor/dtype.h"
 
 namespace fxcpp::passes {
@@ -256,10 +256,10 @@ const TapePlan& compile_planned(GraphModule& gm,
 const TapePlan& compile_planned(GraphModule& gm,
                                 const std::vector<Tensor>& example_inputs,
                                 const fx::PlanCacheOptions& cache_opts) {
-  shape_prop(gm, example_inputs);
+  infer_meta(gm, example_inputs);
   install_with_guards(gm, plan_tape(gm));
   // The replanner makes planned entry points shape-polymorphic: on a guard
-  // mismatch they re-propagate shapes from the actual inputs and swap in a
+  // mismatch they re-infer shapes from the actual inputs and swap in a
   // fresh plan (stateless, so it survives recompile()).
   gm.set_replanner([](GraphModule& g, const std::vector<RtValue>& inputs) {
     std::vector<Tensor> ts;
@@ -271,7 +271,7 @@ const TapePlan& compile_planned(GraphModule& gm,
       }
       ts.push_back(fx::rt_tensor(v));
     }
-    shape_prop(g, ts);
+    infer_meta(g, ts);
     install_with_guards(g, plan_tape(g));
   });
   // Seed the cache with the example-shape specialization so the first real

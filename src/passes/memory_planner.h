@@ -59,17 +59,23 @@ FirstFitPacking first_fit_pack(const std::vector<LiveRange>& ranges,
                                int num_steps);
 
 // Compute a memory plan for gm's current tape. Requires shape/dtype meta on
-// the nodes (run shape_prop first); instructions without meta — or whose
-// outputs alias inputs or escape through Output — stay on the heap. Pure
-// analysis: does not install anything on the module.
+// the nodes (infer_meta or shape_prop first); instructions without meta —
+// or whose outputs alias inputs or escape through Output — stay on the
+// heap. Pure analysis: does not install anything on the module.
 std::shared_ptr<const fx::TapePlan> plan_tape(fx::GraphModule& gm);
 
-// One-call planned-mode setup: propagates shapes from the example inputs,
+// One-call planned-mode setup: infers shape/dtype meta from the example
+// inputs' shapes with passes::infer_meta (symbolic_shapes.h) — the
+// transfer rules, not a forward pass, so the model never runs here — then
 // plans the tape, installs the plan (+ input guards derived from it) on the
-// module, registers a replanner, and attaches a guard-keyed PlanCache
-// (core/plan_cache.h) seeded with the example-shape plan — so mixed-shape
-// traffic plans each distinct input signature once and every repeat is a
-// pure cache hit. Returns the installed plan (owned by the module).
+// module, registers a replanner that does the same per new input
+// signature, and attaches a guard-keyed PlanCache (core/plan_cache.h)
+// seeded with the example-shape plan — so mixed-shape traffic plans each
+// distinct input signature once and every repeat is a pure cache hit.
+// Nodes the rules cannot type (custom ops and their dependents) run from
+// the heap. Throws std::invalid_argument naming the node when the example
+// inputs' shapes definitely conflict with the graph. Returns the installed
+// plan (owned by the module).
 const fx::TapePlan& compile_planned(fx::GraphModule& gm,
                                     const std::vector<Tensor>& example_inputs);
 // Same, with explicit cache knobs (LRU capacity, batch-dim bucketing,

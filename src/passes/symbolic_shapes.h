@@ -3,6 +3,10 @@
 // the machinery behind the Figure 4 discussion: on a basic-block IR a single
 // forward transfer suffices, while control flow forces a fixpoint analysis
 // whose join can diverge to "dynamic".
+//
+// The same transfer rules also give the memory planner its shape/dtype meta
+// without running the model (infer_meta below), the static alternative to
+// ShapeProp's interpretation that Relay-style type relations use.
 #pragma once
 
 #include <functional>
@@ -39,28 +43,66 @@ SymShape sym_of(const Shape& s);
 // fully-dynamic shape of unknown rank (empty optional).
 std::optional<SymShape> join(const SymShape& a, const SymShape& b);
 
-// Shared module transfer-function table. One entry per nn module kind; an
-// entry's fn returns nullopt when the module is not its kind (the table is
-// tried in order). Both symbolic propagation here and the gradual type
-// checker (type_check.cc) key off this single table, so their answers for
-// "what shape does this module produce" can never drift apart.
+// A value's static type: shape and dtype, each possibly unknown. An empty
+// shape optional is the gradual "Any" (unknown rank). The rules below never
+// guess: a value no exact rule covers — an unknown module or target, or one
+// computed from such a value — is fully unknown.
+struct SymTensor {
+  std::optional<SymShape> shape;
+  std::optional<DType> dtype;
+};
+
+// Shared module transfer-function table, one entry per nn module kind,
+// matched on the module's exact dynamic type (a subclass may override
+// forward, so it is only covered when listed). Symbolic propagation,
+// infer_meta and the gradual type checker (type_check.cc) all key off this
+// single table through transfer_graph, so their answers for "what shape
+// does this module produce" can never drift apart.
 struct ModuleTransfer {
   const char* kind;
-  std::function<std::optional<SymShape>(const nn::Module&, const SymShape&)> fn;
+  bool (*matches)(const nn::Module&);
+  // Output shape (nullopt: no exact answer, e.g. an out-of-range flatten
+  // start). Throws std::invalid_argument where the module's kernel would
+  // reject the known input dims.
+  std::optional<SymShape> (*shape)(const nn::Module&, const SymShape&);
+  // Output dtype; nullopt when the kernel does not accept `in`.
+  std::optional<DType> (*dtype)(const nn::Module&, DType in);
 };
 const std::vector<ModuleTransfer>& module_transfer_table();
 
-// Apply the table; modules with no entry are shape-preserving (activations,
-// norms, dropout, identity). Throws on rank mismatches (e.g. conv on
-// non-NCHW input) like the concrete kernels would.
-SymShape module_sym_transfer(const nn::Module& m, const SymShape& x);
+// One forward pass of the transfer rules over gm's graph from one type per
+// placeholder (placeholders past the end are unknown). `visit(node, type)`
+// sees every node in graph order, Output included (typed as its value). A
+// definite conflict at a node goes to `on_conflict(node, message)` and the
+// node's type becomes unknown (gradual checking); with no handler it is
+// thrown as std::invalid_argument naming the node. The engine behind
+// propagate_symbolic, infer_meta and type_check.
+using TypeVisitor = std::function<void(fx::Node&, const SymTensor&)>;
+using ConflictHandler =
+    std::function<void(const fx::Node&, const std::string&)>;
+void transfer_graph(fx::GraphModule& gm, const std::vector<SymTensor>& inputs,
+                    const TypeVisitor& visit,
+                    const ConflictHandler& on_conflict = nullptr);
 
 // Forward-propagate symbolic shapes through a (basic block) fx graph given
-// one symbolic shape per placeholder. Annotates each tensor-producing node
-// with meta["sym_shape"] (stringified) and returns the output node's shape.
-// Single pass — the payoff of Section 5.5's no-control-flow decision.
+// one symbolic shape per placeholder. Annotates each node whose shape is
+// determined with meta["sym_shape"] (stringified) and returns the output
+// node's shape (empty when undetermined). Single pass — the payoff of
+// Section 5.5's no-control-flow decision.
 SymShape propagate_symbolic(fx::GraphModule& gm,
                             const std::vector<SymShape>& input_shapes);
+
+// Metadata-only shape propagation from example inputs: writes the same
+// meta["shape"] / meta["dtype"] that ShapeProp records, from the transfer
+// rules instead of a forward pass. Every node gets both keys or neither: a
+// node whose shape or dtype the rules do not determine exactly (unknown
+// module or target, or fed by such a node) has both cleared, so the planner
+// leaves it on the heap. Throws std::invalid_argument naming the node on a
+// definite conflict between exact shapes (wrong rank, broadcast mismatch,
+// channel mismatch), the engines' ArityMismatch ExecError on an input-count
+// mismatch, and never for a missing rule. ShapeProp remains the concrete
+// reference this pass is tested against.
+void infer_meta(fx::GraphModule& gm, const std::vector<Tensor>& example_inputs);
 
 // Figure 4: the loop `for _ in range(itr): x = cat((x, x), dim=0)` as a
 // fixpoint problem. Repeatedly applies the body transfer function and joins

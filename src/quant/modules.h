@@ -30,6 +30,8 @@ class QuantizedConv2d : public nn::Module {
  public:
   QuantizedConv2d(const nn::Conv2d& src, QParams out_qparams);
   fx::Value forward(const std::vector<fx::Value>& inputs) override;
+  const std::vector<std::int64_t>& stride() const { return packed_.stride; }
+  const std::vector<std::int64_t>& padding() const { return packed_.padding; }
 
  private:
   ops::PackedConvWeight packed_;

@@ -2,7 +2,8 @@
 // execution against the unplanned engines (bit-equal across interpreter /
 // serial tape / parallel x{1,2,8}), first-fit packing semantics, shape-change
 // re-planning, fault-injection interplay, the plan.aliasing verifier rule,
-// and PackCache hit/repack/eviction/concurrency behavior. All randomness is
+// infer_meta fidelity against ShapeProp on every model, and PackCache
+// hit/repack/eviction/concurrency behavior. All randomness is
 // seeded; the whole binary is run under ASan and TSan by scripts/check.sh.
 #include <gtest/gtest.h>
 
@@ -11,11 +12,23 @@
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "core/custom_op.h"
 #include "core/interpreter.h"
 #include "core/memory_plan.h"
 #include "core/parallel_executor.h"
 #include "core/tracer.h"
+#include "nn/models/deep_recommender.h"
+#include "nn/models/dlrm.h"
+#include "nn/models/learning_to_paint.h"
+#include "nn/models/mlp.h"
+#include "nn/models/resnet.h"
+#include "nn/models/transformer.h"
+#include "passes/fuse_conv_bn.h"
+#include "passes/fuse_linear_relu.h"
 #include "passes/memory_planner.h"
+#include "passes/shape_prop.h"
+#include "passes/symbolic_shapes.h"
+#include "quant/quantize.h"
 #include "resilience/exec_error.h"
 #include "runtime/rng.h"
 #include "tensor/ops.h"
@@ -405,6 +418,266 @@ TEST(PlanAliasingRule, FlagsInPlaceReuseOfLiveInput) {
   fc.gm->install_plan(bad);
   const auto rep = analysis::verify(*fc.gm);
   EXPECT_GT(rep.count_rule("plan.aliasing"), 0) << rep.to_string();
+}
+
+// --------------------------------------------------------------------------
+// infer_meta: the planner's shape/dtype meta from the transfer rules, with
+// ShapeProp (a forward pass) as the oracle. Every model in nn/models at two
+// input shapes must get the same meta and a byte-identical plan.
+// --------------------------------------------------------------------------
+
+struct ModelCase {
+  std::string name;
+  std::shared_ptr<GraphModule> gm;
+  std::vector<std::vector<Tensor>> inputs;  // >= 2 distinct input shapes
+};
+
+std::vector<Tensor> dlrm_inputs(const nn::models::DlrmConfig& cfg,
+                                std::int64_t batch) {
+  std::vector<Tensor> in{Tensor::randn({batch, cfg.dense_dim})};
+  for (std::size_t t = 0; t < cfg.table_sizes.size(); ++t) {
+    Tensor idx(Shape{batch}, DType::Int64);
+    for (std::int64_t i = 0; i < batch; ++i) {
+      idx.set_flat(i, static_cast<double>((i * 7 + static_cast<std::int64_t>(t)) %
+                                          cfg.table_sizes[t]));
+    }
+    in.push_back(idx);
+  }
+  return in;
+}
+
+std::vector<ModelCase> model_zoo() {
+  std::vector<ModelCase> zoo;
+  auto img = [](std::int64_t n, std::int64_t c, std::int64_t hw) {
+    return std::vector<Tensor>{Tensor::randn({n, c, hw, hw})};
+  };
+  zoo.push_back({"resnet18", fx::symbolic_trace(nn::models::resnet18(8, 10)),
+                 {img(1, 3, 32), img(2, 3, 40)}});
+  zoo.push_back({"resnet50", fx::symbolic_trace(nn::models::resnet50(8, 10)),
+                 {img(1, 3, 32), img(3, 3, 48)}});
+  auto fused = fx::symbolic_trace(nn::models::resnet50(8, 10));
+  passes::fuse_conv_bn(*fused);
+  passes::fuse_linear_relu(*fused);
+  zoo.push_back({"resnet50_fused", fused, {img(2, 3, 32), img(1, 3, 64)}});
+  zoo.push_back({"mlp", fx::symbolic_trace(nn::models::mlp({16, 32, 8})),
+                 {{Tensor::randn({4, 16})}, {Tensor::randn({9, 16})}}});
+  zoo.push_back(
+      {"transformer",
+       fx::symbolic_trace(std::static_pointer_cast<nn::Module>(
+           nn::models::transformer_encoder_layer(16, 32))),
+       {{Tensor::randn({12, 16})}, {Tensor::randn({20, 16})}}});
+  zoo.push_back(
+      {"learning_to_paint",
+       fx::symbolic_trace(nn::models::learning_to_paint_actor({9, 65, 8})),
+       {img(1, 9, 32), img(2, 9, 48)}});
+  nn::models::DlrmConfig dcfg;
+  fx::Tracer tracer;
+  zoo.push_back({"dlrm",
+                 tracer.trace(std::static_pointer_cast<nn::Module>(
+                                  nn::models::dlrm(dcfg)),
+                              {"dense", "idx0", "idx1", "idx2"}),
+                 {dlrm_inputs(dcfg, 4), dlrm_inputs(dcfg, 7)}});
+  nn::models::DeepRecommenderConfig rcfg;
+  rcfg.item_dim = 64;
+  rcfg.hidden = {32, 16};
+  zoo.push_back({"deep_recommender",
+                 fx::symbolic_trace(nn::models::deep_recommender(rcfg)),
+                 {{Tensor::rand({4, 64})}, {Tensor::rand({11, 64})}}});
+  std::vector<Tensor> calib;
+  for (int i = 0; i < 3; ++i) calib.push_back(Tensor::randn({1, 3, 32, 32}));
+  zoo.push_back({"quantized_resnet18",
+                 quant::quantize_model(nn::models::resnet18(8, 10), calib),
+                 {img(1, 3, 32), img(2, 3, 40)}});
+  return zoo;
+}
+
+struct NodeMeta {
+  bool has = false;
+  Shape shape;
+  DType dtype = DType::Float32;
+  bool operator==(const NodeMeta& o) const {
+    return has == o.has && (!has || (shape == o.shape && dtype == o.dtype));
+  }
+};
+
+std::string meta_str(const NodeMeta& m) {
+  return m.has ? shape_str(m.shape) + " " + dtype_name(m.dtype) : "<none>";
+}
+
+// Shape/dtype meta of every non-Output node, in graph order.
+std::vector<NodeMeta> snapshot_meta(const GraphModule& gm) {
+  std::vector<NodeMeta> out;
+  for (const Node* n : gm.graph().nodes()) {
+    if (n->op() == fx::Opcode::Output) continue;
+    NodeMeta m;
+    m.has = n->has_meta("shape") && n->has_meta("dtype");
+    EXPECT_EQ(m.has, n->has_meta("shape") || n->has_meta("dtype"))
+        << n->name() << ": partial meta";
+    if (m.has) {
+      m.shape = n->shape();
+      m.dtype = n->dtype();
+    }
+    out.push_back(m);
+  }
+  return out;
+}
+
+void expect_same_plan(const fx::TapePlan& a, const fx::TapePlan& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.arena_bytes, b.arena_bytes) << what;
+  EXPECT_EQ(a.planned_bytes, b.planned_bytes) << what;
+  EXPECT_EQ(a.unplanned_bytes, b.unplanned_bytes) << what;
+  EXPECT_EQ(a.planned_count, b.planned_count) << what;
+  EXPECT_EQ(a.aliased_count, b.aliased_count) << what;
+  ASSERT_EQ(a.intervals.size(), b.intervals.size()) << what;
+  for (std::size_t i = 0; i < a.intervals.size(); ++i) {
+    const fx::PlanInterval& x = a.intervals[i];
+    const fx::PlanInterval& y = b.intervals[i];
+    EXPECT_TRUE(x.def == y.def && x.last_use == y.last_use &&
+                x.nbytes == y.nbytes && x.padded == y.padded &&
+                x.offset == y.offset && x.planned == y.planned &&
+                x.in_place == y.in_place && x.alias_of == y.alias_of &&
+                x.readers == y.readers)
+        << what << ": interval " << i << " differs";
+  }
+  ASSERT_EQ(a.guards.size(), b.guards.size()) << what;
+  for (std::size_t i = 0; i < a.guards.size(); ++i) {
+    EXPECT_EQ(a.guards[i].placeholder, b.guards[i].placeholder) << what;
+    EXPECT_EQ(a.guards[i].shape, b.guards[i].shape) << what;
+    EXPECT_EQ(a.guards[i].dtype, b.guards[i].dtype) << what;
+  }
+}
+
+TEST(InferMeta, MatchesShapePropAndPlansIdenticallyOnModelZoo) {
+  for (ModelCase& mc : model_zoo()) {
+    GraphModule& gm = *mc.gm;
+    gm.recompile();
+    for (const auto& in : mc.inputs) {
+      const std::string what = mc.name + " @ " + shape_str(in[0].sizes());
+      passes::shape_prop(gm, in);
+      const std::vector<NodeMeta> oracle = snapshot_meta(gm);
+      const auto oracle_plan = passes::plan_tape(gm);
+      passes::infer_meta(gm, in);
+      const std::vector<NodeMeta> inferred = snapshot_meta(gm);
+      ASSERT_EQ(oracle.size(), inferred.size()) << what;
+      std::size_t i = 0;
+      for (const Node* n : gm.graph().nodes()) {
+        if (n->op() == fx::Opcode::Output) continue;
+        EXPECT_TRUE(oracle[i].has) << what << ": ShapeProp skipped " << n->name();
+        EXPECT_TRUE(oracle[i] == inferred[i])
+            << what << ": node " << n->name() << " ShapeProp "
+            << meta_str(oracle[i]) << " vs infer_meta " << meta_str(inferred[i]);
+        ++i;
+      }
+      expect_same_plan(*oracle_plan, *passes::plan_tape(gm), what);
+    }
+  }
+}
+
+TEST(InferMeta, CompilePlannedLeavesNoStaleMeta) {
+  for (ModelCase& mc : model_zoo()) {
+    mc.gm->recompile();
+    passes::compile_planned(*mc.gm, mc.inputs[0]);
+    const auto rep = analysis::verify(*mc.gm);
+    EXPECT_FALSE(rep.has("meta.stale")) << mc.name << "\n" << rep.to_string();
+    EXPECT_FALSE(rep.has("meta.pair")) << mc.name << "\n" << rep.to_string();
+  }
+}
+
+TEST(InferMeta, PlanCacheMissPlansLikeAFreshShapePropPlan) {
+  auto model = nn::models::transformer_encoder_layer(16, 32);
+  auto gm = fx::symbolic_trace(std::static_pointer_cast<nn::Module>(model));
+  passes::compile_planned(*gm, {Tensor::randn({12, 16})});
+  fx::PlanCache& cache = *gm->plan_cache();
+  for (std::int64_t len : {20, 7, 33}) {
+    const Tensor x = Tensor::randn({len, 16});
+    const std::vector<RtValue> in{RtValue(x)};
+    const std::uint64_t misses = cache.stats().misses;
+    const RtValue ref = fx::Interpreter(*gm).run(in);
+    EXPECT_TRUE(bit_equal(ref, gm->run_planned(in).front()));
+    ASSERT_EQ(cache.stats().misses, misses + 1);
+    const auto entry = cache.peek(cache.signature_of(in));
+    ASSERT_TRUE(entry);
+
+    auto fresh = fx::symbolic_trace(std::static_pointer_cast<nn::Module>(model));
+    fresh->recompile();
+    passes::shape_prop(*fresh, {x});
+    expect_same_plan(*passes::plan_tape(*fresh), *entry->plan(),
+                     "seq " + std::to_string(len));
+  }
+}
+
+TEST(InferMeta, UnregisteredCustomOpAndDependentsRunFromTheHeap) {
+  fx::register_custom_op("infer_meta_test_twice", {"x"},
+                         [](const std::vector<Tensor>& in) {
+                           return ops::mul(in.at(0), 2.0);
+                         });
+  auto g = std::make_unique<Graph>();
+  Node* x = g->placeholder("x");
+  Node* m = g->call_function("matmul", {x, x});
+  Node* r = g->call_function("relu", {m});
+  Node* c = g->call_function("infer_meta_test_twice", {r});
+  Node* n = g->call_function("neg", {c});
+  Node* t = g->call_function("tanh", {n});
+  Node* s = g->call_function("sigmoid", {m});
+  g->output(g->call_function("add", {t, s}));
+  GraphModule gm(nullptr, std::move(g), "Custom");
+  gm.recompile();
+
+  const Tensor in = Tensor::randn({8, 8});
+  const fx::TapePlan& plan = passes::compile_planned(gm, {in});
+  for (const Node* typed : {m, r, s}) {
+    EXPECT_TRUE(typed->has_meta("shape")) << typed->name();
+  }
+  for (const Node* untyped : {c, n, t}) {
+    EXPECT_FALSE(untyped->has_meta("shape")) << untyped->name();
+    EXPECT_FALSE(untyped->has_meta("dtype")) << untyped->name();
+  }
+  const auto& instrs = gm.compiled_graph().instrs();
+  for (std::size_t i = 0; i < instrs.size(); ++i) {
+    const Node* node = instrs[i].node;
+    if (node == c || node == n || node == t) {
+      EXPECT_FALSE(plan.intervals[i].planned) << node->name();
+    }
+    if (node == m || node == s) {
+      EXPECT_TRUE(plan.intervals[i].planned) << node->name();
+    }
+  }
+  const std::vector<RtValue> args{RtValue(in)};
+  const RtValue ref = fx::Interpreter(gm).run(args);
+  EXPECT_TRUE(bit_equal(ref, gm.run_planned(args).front()));
+}
+
+TEST(InferMeta, ConflictingExampleInputThrowsNamingTheNode) {
+  auto gm = fx::symbolic_trace(nn::models::resnet18(8, 10));
+  try {
+    passes::compile_planned(*gm, {Tensor::randn({3, 32, 32})});  // rank 3
+    FAIL() << "expected a rank conflict";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'conv1'"), std::string::npos)
+        << e.what();
+  }
+
+  auto g = std::make_unique<Graph>();
+  Node* a = g->placeholder("a");
+  Node* b = g->placeholder("b");
+  g->output(g->call_function("add", {a, b}));
+  GraphModule add(nullptr, std::move(g), "Add");
+  add.recompile();
+  try {
+    passes::compile_planned(add, {Tensor::randn({4, 3}), Tensor::randn({5})});
+    FAIL() << "expected a broadcast conflict";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'add'"), std::string::npos)
+        << e.what();
+  }
+  // Too few inputs fail like every engine's arity check.
+  try {
+    passes::compile_planned(add, {Tensor::randn({4, 3})});
+    FAIL() << "expected an arity mismatch";
+  } catch (const ExecError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::ArityMismatch);
+  }
 }
 
 // --------------------------------------------------------------------------
