@@ -5,10 +5,13 @@
 // end-to-end run_planned speedup of the dispatched tier over the forced
 // scalar fallback, a roofline-ratio before/after on the 512^3 GEMM, and
 // bit-equality of every engine (Interpreter / tape / planned / parallel /
-// serving) at the pinned tier. Acceptance — >=2.5x GFLOP/s over the old
-// gemm_nt at 512^3 on the best tier, measurable (>=1.15x) end-to-end
-// speedup, roofline ratio strictly improved, per-tier bit-determinism, all
-// engines bit-equal — is enforced by the exit code.
+// serving) at the pinned tier; and a report-only conv row: ops::conv2d
+// GFLOP/s on the ResNet-50 w16 conv shapes at batch 8 and 1 next to the
+// same-sized GEMM through ops::linear. Acceptance — >=2.5x GFLOP/s over
+// the old gemm_nt at 512^3 on the best tier, measurable (>=1.15x)
+// end-to-end speedup, roofline ratio strictly improved, per-tier
+// bit-determinism, all engines bit-equal — is enforced by the exit code;
+// the conv row has no gate.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,6 +32,7 @@
 #include "runtime/thread_pool.h"
 #include "serve/loadgen.h"
 #include "serve/session.h"
+#include "tensor/ops.h"
 
 using namespace fxcpp;
 using fx::RtValue;
@@ -192,6 +196,65 @@ int main() {
     kernels::force_isa(std::nullopt);
   }
 
+  // --- conv layer row: ops::conv2d vs the same GEMM through ops::linear ----
+  // Report-only. The conv's GEMM is M = O, K = C*kh*kw, N = n*oh*ow; the
+  // linear does the same FLOPs as x[n*oh*ow, K] @ w[O, K]^T.
+  struct ConvShape {
+    const char* name;
+    std::int64_t c, hw, o, kernel, stride, pad;
+  };
+  // ResNet-50 w16 at 64x64: stem, then one of each distinct shape per stage.
+  const ConvShape conv_shapes[] = {
+      {"stem 7x7/2 3->16", 3, 64, 16, 7, 2, 3},
+      {"l1 1x1 64->16", 64, 16, 16, 1, 1, 0},
+      {"l1 3x3 16->16", 16, 16, 16, 3, 1, 1},
+      {"l1 1x1 16->64", 16, 16, 64, 1, 1, 0},
+      {"l2 3x3/2 32->32", 32, 16, 32, 3, 2, 1},
+      {"l2 1x1 32->128", 32, 8, 128, 1, 1, 0},
+      {"l2 1x1/2 64->128", 64, 16, 128, 1, 2, 0},
+      {"l3 3x3 64->64", 64, 4, 64, 3, 1, 1},
+      {"l3 1x1 64->256", 64, 4, 256, 1, 1, 0},
+      {"l4 3x3 128->128", 128, 2, 128, 3, 1, 1},
+      {"l4 1x1 128->512", 128, 2, 512, 1, 1, 0},
+      {"l4 1x1 512->128", 512, 2, 128, 1, 1, 0},
+  };
+  struct ConvRow {
+    std::string shape;
+    std::int64_t batch;
+    double conv_gf, linear_gf;
+  };
+  std::vector<ConvRow> conv_rows;
+  bench::print_header(
+      "A13: conv2d vs same-sized GEMM via linear, GFLOP/s, isa=" +
+          std::string(kernels::isa_name(best)),
+      {"shape", "batch", "conv2d", "linear", "conv/linear"});
+  for (const std::int64_t n : {8LL, 1LL}) {
+    for (const ConvShape& cs : conv_shapes) {
+      const std::int64_t out_hw =
+          (cs.hw + 2 * cs.pad - cs.kernel) / cs.stride + 1;
+      const std::int64_t k = cs.c * cs.kernel * cs.kernel;
+      const std::int64_t cols = n * out_hw * out_hw;
+      const Tensor x = Tensor::randn({n, cs.c, cs.hw, cs.hw});
+      const Tensor w = Tensor::randn({cs.o, cs.c, cs.kernel, cs.kernel});
+      const Tensor b = Tensor::randn({cs.o});
+      const Tensor lx = Tensor::randn({cols, k});
+      const Tensor lw = w.reshape({cs.o, k});
+      const auto r = bench::time_interleaved(
+          [&] {
+            ops::conv2d(x, w, b, {cs.stride, cs.stride}, {cs.pad, cs.pad});
+          },
+          [&] { ops::linear(lx, lw, b); }, 15);
+      conv_rows.push_back({cs.name, n, gflops(cs.o, cols, k, r.median_a),
+                           gflops(cs.o, cols, k, r.median_b)});
+      const ConvRow& row = conv_rows.back();
+      const double ratio =
+          row.linear_gf > 0 ? row.conv_gf / row.linear_gf : 0.0;
+      bench::print_row({row.shape, std::to_string(n),
+                        bench::fmt(row.conv_gf, 2),
+                        bench::fmt(row.linear_gf, 2), bench::fmt(ratio, 2)});
+    }
+  }
+
   // --- end-to-end: traced ResNet-18 run_planned, scalar vs dispatched ------
   auto model = nn::models::resnet18(/*width=*/16, /*num_classes=*/64);
   model->train(false);
@@ -294,6 +357,15 @@ int main() {
       f << (i ? "," : "") << "\n    {\"tier\": \"" << tiers[i].name
         << "\", \"gflops\": " << bench::fmt(tiers[i].gf, 2)
         << ", \"deterministic\": " << (tiers[i].deterministic ? "true" : "false")
+        << "}";
+    }
+    f << "\n  ],\n"
+      << "  \"conv_vs_linear\": [";
+    for (std::size_t i = 0; i < conv_rows.size(); ++i) {
+      f << (i ? "," : "") << "\n    {\"shape\": \"" << conv_rows[i].shape
+        << "\", \"batch\": " << conv_rows[i].batch
+        << ", \"conv2d_gflops\": " << bench::fmt(conv_rows[i].conv_gf, 2)
+        << ", \"linear_gflops\": " << bench::fmt(conv_rows[i].linear_gf, 2)
         << "}";
     }
     f << "\n  ],\n"

@@ -44,11 +44,13 @@ fxprof_smoke "$repo/build"
 echo "-- E3/E4 shape checks (build/) --"
 "$repo/build/bench/bench_fusion"
 "$repo/build/bench/bench_tensorrt"
-# E1 (fx < jit.trace < jit.script IR sizes, Figure 5) and A10 (plan-cache
+# E1 (fx < jit.trace < jit.script IR sizes, Figure 5), E2 (int8 beats fp32
+# at every batch with a shrinking advantage, Figure 6) and A10 (plan-cache
 # hit rate, hit-path overhead, bit-equality) exit non-zero on VIOLATED too.
 # Run from the build tree so A10's BENCH_plan_cache.json lands there.
-echo "-- E1/A10 gates (build/) --"
-(cd "$repo/build" && ./bench/bench_ir_complexity && ./bench/bench_plan_cache)
+echo "-- E1/E2/A10 gates (build/) --"
+(cd "$repo/build" && ./bench/bench_ir_complexity &&
+  ./bench/bench_quantization && ./bench/bench_plan_cache)
 
 # clang-tidy (bugprone / performance / concurrency, config in .clang-tidy)
 # over the analysis + passes layers. Gated: the CI container does not ship

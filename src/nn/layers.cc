@@ -35,6 +35,15 @@ Linear::Linear(std::string kind, std::int64_t in_features,
   if (bias) register_parameter("bias", init_weight({out_}, in_));
 }
 
+Linear::Linear(std::string kind, const Linear& src, Tensor weight, Tensor bias)
+    : Module(std::move(kind), /*builtin=*/true),
+      in_(src.in_),
+      out_(src.out_),
+      has_bias_(bias.defined()) {
+  register_parameter("weight", std::move(weight));
+  if (has_bias_) register_parameter("bias", std::move(bias));
+}
+
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, bool bias)
     : Linear("Linear", in_features, out_features, bias) {}
 
@@ -46,6 +55,10 @@ fx::Value Linear::forward(const std::vector<fx::Value>& inputs) {
 LinearReLU::LinearReLU(std::int64_t in_features, std::int64_t out_features,
                        bool bias)
     : Linear("LinearReLU", in_features, out_features, bias) {}
+
+LinearReLU::LinearReLU(const Linear& src)
+    : Linear("LinearReLU", src, src.param("weight"),
+             src.has_bias() ? src.param("bias") : Tensor()) {}
 
 fx::Value LinearReLU::forward(const std::vector<fx::Value>& inputs) {
   return fx::fn::linear_relu(inputs.at(0), param_value("weight"),

@@ -33,6 +33,9 @@ class Linear : public Module {
   // Subclass hook (LinearReLU): same parameters, different reported kind.
   Linear(std::string kind, std::int64_t in_features, std::int64_t out_features,
          bool bias);
+  // Subclass hook (LinearReLU from a Linear): `src`'s shape over the given
+  // parameter tensors (shared, not copied; no fresh initialization is drawn).
+  Linear(std::string kind, const Linear& src, Tensor weight, Tensor bias);
 
  private:
   std::int64_t in_, out_;
@@ -49,6 +52,8 @@ class LinearReLU : public Linear {
  public:
   LinearReLU(std::int64_t in_features, std::int64_t out_features,
              bool bias = true);
+  // Over `src`'s own weight and bias tensors; how fuse_linear_relu installs it.
+  explicit LinearReLU(const Linear& src);
   fx::Value forward(const std::vector<fx::Value>& inputs) override;
 };
 

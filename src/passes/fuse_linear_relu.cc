@@ -46,12 +46,8 @@ int fuse_linear_relu(fx::GraphModule& gm) {
       if (!m) continue;
       nn::Module::Ptr fused;
       if (typeid(*m) == typeid(nn::Linear)) {
-        const auto& lin = static_cast<const nn::Linear&>(*m);
-        auto lr = std::make_shared<nn::LinearReLU>(
-            lin.in_features(), lin.out_features(), lin.has_bias());
-        lr->param("weight") = lin.param("weight");
-        if (lin.has_bias()) lr->param("bias") = lin.param("bias");
-        fused = lr;
+        fused = std::make_shared<nn::LinearReLU>(
+            static_cast<const nn::Linear&>(*m));
       } else if (typeid(*m) == typeid(nn::Conv2d)) {
         fused = std::make_shared<nn::Conv2dReLU>(
             static_cast<const nn::Conv2d&>(*m));

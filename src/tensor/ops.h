@@ -53,7 +53,8 @@ Tensor linear_relu(const Tensor& x, const Tensor& w, const Tensor& b);
 Tensor transpose(const Tensor& x, int d0, int d1);
 
 // --- convolution / pooling (NCHW) ----------------------------------------
-// x [N,C,H,W], w [O,C,kh,kw], optional bias [O]; im2col + GEMM.
+// x [N,C,H,W], w [O,C,kh,kw], optional bias [O]; one GEMM over the whole
+// batch, its B panels packed straight from the NCHW input block by block.
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               std::vector<std::int64_t> stride,
               std::vector<std::int64_t> padding);

@@ -1,12 +1,13 @@
-// Per-thread cache of packed GEMM weights and im2col scratch space.
+// Per-thread cache of packed GEMM weights and activation scratch space.
 //
 // Eager dispatch re-derives kernel-private data on every call: `linear` and
 // `conv2d` materialize a contiguous ("packed" row-major) copy of any
-// non-contiguous weight per forward, and `conv2d` allocates a fresh im2col
-// column buffer per call. Once a program is captured as a graph, the weights
-// are module state with stable identity across runs (the paper's Section 2.3
-// point: fx keeps parameters out of the IR, in Modules), so the packing can
-// be computed once and reused until the weight actually mutates.
+// non-contiguous weight per forward, and `conv2d` needs scratch for its
+// input's B panels and its staged output on every call. Once a program is
+// captured as a graph, the weights are module state with stable identity
+// across runs (the paper's Section 2.3 point: fx keeps parameters out of
+// the IR, in Modules), so the packing can be computed once and reused until
+// the weight actually mutates.
 //
 // Beyond the original contiguize cache ("plain" packs), the cache holds
 // micro-kernel panel packs for the kernels layer (src/kernels): fp32 B
@@ -67,12 +68,15 @@ class PackCache {
   std::shared_ptr<const std::vector<std::int8_t>> panel_b_s8_nt(
       const Tensor& w);
 
-  // Grow-only float scratch buffer (the conv2d im2col workspace). Returns a
-  // pointer valid until the next workspace() call with a larger count, or
-  // clear(). Contents are unspecified on entry.
+  // Grow-only float scratch buffer: conv2d's staging buffer, the
+  // [O, g*oh*ow] GEMM output of a column block that holds g > 1 images,
+  // before it is scattered into NCHW. Returns a pointer valid until the
+  // next workspace() call with a larger count, or clear(). Contents are
+  // unspecified on entry.
   float* workspace(std::size_t count);
-  // A second, independent float scratch buffer — conv2d needs the im2col
-  // columns and their panel pack alive at the same time.
+  // A second, independent float scratch buffer for per-call B panels: the
+  // current column block of conv2d's input, matmul's activation rhs. conv2d
+  // needs it and the staging buffer alive at the same time.
   float* panel_workspace(std::size_t count);
   // int8 scratch buffers for the quantized paths (same lifetime rules).
   std::int8_t* workspace_s8(std::size_t count);

@@ -324,6 +324,104 @@ TEST(KernelOps, LinearReluBitEqualsReluOfLinear) {
   }
 }
 
+// The per-image conv2d that the batch-wide GEMM replaced, kept here as the
+// bit-equality reference: im2col one image into a [C*kh*kw, oh*ow] column
+// matrix, pack it into B panels, one sgemm per image with the prepacked
+// weight strips and the bias/ReLU row epilogue.
+Tensor per_image_conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+                        std::int64_t sh, std::int64_t sw, std::int64_t ph,
+                        std::int64_t pw, bool relu) {
+  const Tensor xc = x.contiguous();
+  const std::int64_t n = xc.size(0), c = xc.size(1), h = xc.size(2),
+                     wd = xc.size(3);
+  const std::int64_t o = w.size(0), kh = w.size(2), kw = w.size(3);
+  const std::int64_t oh = (h + 2 * ph - kh) / sh + 1;
+  const std::int64_t ow = (wd + 2 * pw - kw) / sw + 1;
+  const std::int64_t k = c * kh * kw, spatial = oh * ow;
+  Tensor out(Shape{n, o, oh, ow}, DType::Float32);
+  const Tensor bc = b.defined() ? b.contiguous() : Tensor();
+  const float* bias = b.defined() ? bc.data<float>() : nullptr;
+  const auto pa = PackCache::local().panel_a_f32(w, kernels::gemm_f32_mr());
+  std::vector<float> col(static_cast<std::size_t>(k * spatial));
+  std::vector<float> pb(kernels::packed_b_f32_size(k, spatial));
+  for (std::int64_t img = 0; img < n; ++img) {
+    const float* xin = xc.data<float>() + img * c * h * wd;
+    for (std::int64_t ci = 0; ci < c; ++ci) {
+      for (std::int64_t ky = 0; ky < kh; ++ky) {
+        for (std::int64_t kx = 0; kx < kw; ++kx) {
+          float* crow = col.data() + ((ci * kh + ky) * kw + kx) * spatial;
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            const std::int64_t iy = oy * sh - ph + ky;
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t ix = ox * sw - pw + kx;
+              crow[oy * ow + ox] = (iy >= 0 && iy < h && ix >= 0 && ix < wd)
+                                       ? xin[(ci * h + iy) * wd + ix]
+                                       : 0.f;
+            }
+          }
+        }
+      }
+    }
+    kernels::pack_b_f32_nn(col.data(), spatial, k, spatial, pb.data());
+    kernels::sgemm(o, spatial, k, nullptr, 0, pb.data(),
+                   out.data<float>() + img * o * spatial, spatial, nullptr,
+                   bias, relu, pa->data());
+  }
+  return out;
+}
+
+TEST(KernelOps, Conv2dBatchGemmBitEqualsPerImageGemm) {
+  struct Case {
+    std::int64_t n, c, h, w, o, kernel, stride, pad;
+  };
+  // Output sizes 2x2, 3x5, 16x16 and 32x32 at batch 1, 3 and 8. At the
+  // 128 KiB column block these cover: pointwise panels inside one image and
+  // spanning images, row runs clipped at both edges at stride 1 and 2, row
+  // gathers across images with n*oh*ow not a multiple of 16 (3x3 s2 at
+  // 3x5), a two-image block followed by a one-image block (3x3 over 7
+  // channels at 16x16, batch 3), and several blocks per image (7x7 s2).
+  const Case cases[] = {
+      {8, 32, 2, 2, 24, 1, 1, 0},  {3, 16, 4, 4, 20, 1, 2, 0},
+      {1, 16, 4, 4, 20, 1, 2, 0},  {3, 4, 6, 10, 7, 3, 2, 1},
+      {1, 4, 3, 5, 7, 3, 1, 1},    {8, 5, 3, 5, 6, 3, 1, 1},
+      {3, 7, 16, 16, 9, 3, 1, 1},  {1, 7, 16, 16, 9, 3, 1, 1},
+      {8, 16, 16, 16, 12, 1, 1, 0}, {1, 6, 32, 32, 8, 3, 2, 1},
+      {8, 8, 32, 32, 8, 1, 1, 0},  {1, 3, 64, 64, 8, 7, 2, 3},
+      {3, 3, 64, 64, 5, 7, 2, 3},  {8, 4, 8, 8, 16, 3, 2, 1},
+  };
+  rt::Rng::global().reseed(31);
+  for (const kernels::Isa isa : runnable_tiers()) {
+    ScopedIsa pin(isa);
+    for (const Case& t : cases) {
+      // A width-narrowed view: conv2d must see through the strides.
+      const Tensor wide = Tensor::randn({t.n, t.c, t.h, t.w + 3});
+      const Tensor x = wide.narrow(3, 2, t.w);
+      ASSERT_FALSE(x.is_contiguous());
+      const Tensor w = Tensor::randn({t.o, t.c, t.kernel, t.kernel});
+      const Tensor b = Tensor::randn({t.o});
+      const std::vector<std::int64_t> st{t.stride, t.stride}, pd{t.pad, t.pad};
+      for (const Tensor& bias : {b, Tensor()}) {
+        const std::string what =
+            std::string(kernels::isa_name(isa)) + " n=" + std::to_string(t.n) +
+            " c=" + std::to_string(t.c) + " " + std::to_string(t.h) + "x" +
+            std::to_string(t.w) + " k=" + std::to_string(t.kernel) +
+            " s=" + std::to_string(t.stride) +
+            (bias.defined() ? " bias" : " no-bias");
+        EXPECT_TRUE(bit_equal(
+            ops::conv2d(x, w, bias, st, pd),
+            per_image_conv2d(x, w, bias, t.stride, t.stride, t.pad, t.pad,
+                             /*relu=*/false)))
+            << what;
+        EXPECT_TRUE(bit_equal(
+            ops::conv2d_relu(x, w, bias, st, pd),
+            per_image_conv2d(x, w, bias, t.stride, t.stride, t.pad, t.pad,
+                             /*relu=*/true)))
+            << what;
+      }
+    }
+  }
+}
+
 TEST(KernelOps, MatmulMatchesReference) {
   rt::Rng rng(29);
   const auto a = random_floats(7 * 19, rng);
@@ -448,21 +546,33 @@ TEST(PackCachePanels, GlobalStatsAggregate) {
 TEST(FuseLinearRelu, ModulePatternSwapsInLinearReLU) {
   rt::Rng::global().reseed(41);
   auto seq = std::make_shared<nn::Sequential>();
-  seq->append(std::make_shared<nn::Linear>(12, 8));
+  auto lin = std::make_shared<nn::Linear>(12, 8);
+  seq->append(lin);
   seq->append(std::make_shared<nn::ReLU>());
   seq->append(std::make_shared<nn::Linear>(8, 4));
   auto gm = fx::symbolic_trace(seq);
   const Tensor x = Tensor::randn({3, 12});
   const Tensor before = fx::rt_tensor(fx::Interpreter(*gm).run({RtValue(x)}));
 
+  // The swap draws no initialization for the fused module.
+  const double rng_next = rt::Rng(rt::Rng::global()).uniform(0.0, 1.0);
   EXPECT_EQ(passes::fuse_linear_relu(*gm), 1);
-  // The ReLU call is gone; the first Linear is now a LinearReLU module.
+  EXPECT_EQ(rt::Rng::global().uniform(0.0, 1.0), rng_next);
+  // The ReLU call is gone; the first Linear is now a LinearReLU module over
+  // the Linear's own parameter tensors.
   int relu_calls = 0, linear_relu_mods = 0;
   for (const fx::Node* n : gm->graph().nodes()) {
     if (n->op() != fx::Opcode::CallModule) continue;
     const auto m = gm->resolve_module(n->target());
     if (dynamic_cast<const nn::ReLU*>(m.get())) ++relu_calls;
-    if (dynamic_cast<const nn::LinearReLU*>(m.get())) ++linear_relu_mods;
+    if (const auto* lr = dynamic_cast<const nn::LinearReLU*>(m.get())) {
+      ++linear_relu_mods;
+      EXPECT_TRUE(
+          lr->param("weight").shares_storage_with(lin->param("weight")));
+      EXPECT_TRUE(lr->param("bias").shares_storage_with(lin->param("bias")));
+      EXPECT_EQ(lr->in_features(), 12);
+      EXPECT_EQ(lr->out_features(), 8);
+    }
   }
   EXPECT_EQ(relu_calls, 0);
   EXPECT_EQ(linear_relu_mods, 1);

@@ -129,7 +129,7 @@ TEST(TensorOps, LinearMatchesMatmulPlusBias) {
   EXPECT_TRUE(allclose(y, ref, 1e-4, 1e-5));
 }
 
-// Naive direct convolution as a reference for the im2col kernel.
+// Naive direct convolution as a reference for the GEMM conv kernel.
 Tensor conv2d_naive(const Tensor& x, const Tensor& w, const Tensor& b,
                     std::int64_t s, std::int64_t p) {
   const std::int64_t N = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
