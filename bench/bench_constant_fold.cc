@@ -3,7 +3,7 @@
 // forward (tanh-rescaled weights, doubled biases) is folded once through the
 // Interpreter; the bench reports instructions removed, per-iteration
 // allocator traffic, steady-state wall clock, and bit-equality of the folded
-// graph across interpreter / serial tape / parallel x{1,2,8}. The acceptance
+// graph across interpreter and serial tape. The acceptance
 // gate — something actually folded, fewer allocations per run, bit-identical
 // outputs — is deterministic (allocator counters, not wall clock) so it
 // holds on a noisy 1-core CI box.
@@ -130,7 +130,7 @@ int main() {
   bench::print_row({"folded", bench::fmt(wall.median_b),
                     bench::fmt(wall.b.stdev), bench::fmt(speedup, 2)});
 
-  // --- bit-equality across engines and thread counts -----------------------
+  // --- bit-equality across engines -----------------------------------------
   bool equal = true;
   auto check = [&](const char* name, const Tensor& got) {
     const bool ok = bit_equal(ref, got);
@@ -143,10 +143,6 @@ int main() {
     check("interpreter", fx::rt_tensor(interp.run(in)));
   }
   check("serial tape", folded->run({x}));
-  for (int threads : {1, 2, 8}) {
-    const std::string name = "parallel x" + std::to_string(threads);
-    check(name.c_str(), folded->run_parallel({x}, threads));
-  }
 
   const bool pass = equal && stats.folded > 0 &&
                     folded_t.count < unfolded_t.count;

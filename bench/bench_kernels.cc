@@ -4,7 +4,7 @@
 // sizes and over every ISA tier the machine supports; plus traced ResNet-18
 // end-to-end run_planned speedup of the dispatched tier over the forced
 // scalar fallback, a roofline-ratio before/after on the 512^3 GEMM, and
-// bit-equality of every engine (Interpreter / tape / planned / parallel /
+// bit-equality of every engine (Interpreter / tape / planned /
 // serving) at the pinned tier; and a report-only conv row: ops::conv2d
 // GFLOP/s on the ResNet-50 w16 conv shapes at batch 8 and 1 next to the
 // same-sized GEMM through ops::linear. Acceptance — >=2.5x GFLOP/s over
@@ -21,7 +21,6 @@
 
 #include "bench/bench_common.h"
 #include "core/interpreter.h"
-#include "core/parallel_executor.h"
 #include "core/tracer.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
@@ -295,13 +294,6 @@ int main() {
                 kernels::isa_name(best));
     check("tape", std::get<Tensor>(rn->compiled_graph().run(in).front()));
     check("planned", std::get<Tensor>(rn->run_planned(in).front()));
-    for (int threads : {1, 2}) {
-      fx::ExecutorOptions eo;
-      eo.num_threads = threads;
-      fx::ParallelExecutor ex(*rn, eo);
-      check(("parallel x" + std::to_string(threads)).c_str(),
-            std::get<Tensor>(ex.run(in).front()));
-    }
   }
 
   // --- serving engine bit-equality (batched session over an MLP) -----------

@@ -1,8 +1,8 @@
 // A8 — static memory planning + packed-kernel caching (perf_opt PR): per-
 // iteration allocator traffic of a traced ResNet-18 under the unplanned
-// serial tape vs compile_planned() execution (serial and parallel x1/x2/x8),
-// plus arena high-water, planner hint-service counters, steady-state
-// speedup, and bit-equality across every engine. The acceptance gate — at
+// serial tape vs compile_planned() execution, plus arena high-water, planner
+// hint-service counters, steady-state speedup, and bit-equality of the
+// planned tape. The acceptance gate — at
 // least 30% fewer per-iteration heap bytes, bit-identical outputs — is
 // enforced by the exit code so CI fails loudly when the planner regresses.
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/parallel_executor.h"
 #include "core/tracer.h"
 #include "nn/models/resnet.h"
 #include "passes/memory_planner.h"
@@ -105,7 +104,7 @@ int main() {
   bench::print_row({"tape (planned)", bench::fmt(wall.median_b),
                     bench::fmt(wall.b.stdev), bench::fmt(speedup, 2)});
 
-  // --- bit-equality across engines and thread counts -----------------------
+  // --- bit-equality of the planned tape ------------------------------------
   bool equal = true;
   auto check = [&](const char* name, const Tensor& got) {
     const bool ok = bit_equal(ref, got);
@@ -114,16 +113,6 @@ int main() {
   };
   std::printf("\nbit-equality vs unplanned tape:\n");
   check("tape (planned)", std::get<Tensor>(rn->run_planned(in).front()));
-  for (int threads : {1, 2, 8}) {
-    fx::ExecutorOptions eo;
-    eo.num_threads = threads;
-    eo.use_plan = true;
-    fx::ParallelExecutor ex(*rn, eo);
-    ex.run(in);  // reuse the arena once before the checked run
-    const std::string name =
-        "parallel x" + std::to_string(threads) + " (planned)";
-    check(name.c_str(), std::get<Tensor>(ex.run(in).front()));
-  }
 
   const bool pass = reduction >= 0.30 && equal;
   std::printf("\nacceptance (>=30%% traffic reduction, bit-equal) : %s\n",

@@ -4,7 +4,7 @@
 // anomaly observer re-reads every node output once (O(total activation
 // elements)), which is the dominant term and must stay within the 5%
 // acceptance band against the conv-heavy kernels. run_resilient's happy
-// path (guards + parallel first rung succeeding) is timed as a third arm.
+// path (guards + the tape rung succeeding) is timed as a third arm.
 // Timing is interleaved and summarized by medians; only bit-equality
 // failures fail the binary — wall-clock ratios on a shared machine are
 // advisory, matching A6.
@@ -49,9 +49,8 @@ int main() {
   const double overhead = bare > 0 ? hardened / bare : 0;
   const bool overhead_ok = overhead <= 1.05;
 
-  // --- run_resilient happy path (guards + parallel rung) -------------------
-  fx::ResilientOptions ropts;
-  ropts.num_threads = 2;
+  // --- run_resilient happy path (guards + tape rung) -----------------------
+  const fx::ResilientOptions ropts;
   double resilient_s = 0;
   {
     const auto rt_timed = bench::time_interleaved(

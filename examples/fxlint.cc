@@ -51,7 +51,7 @@ std::unique_ptr<fx::Graph> demo_graph() {
 }
 
 // --rule filter: exact rule id, or a dotted-prefix group ("resolve" matches
-// "resolve.kwargs"; "schedule.race" matches only itself).
+// "resolve.kwargs"; "plan.aliasing" matches only itself).
 bool rule_matches(const std::string& rule, const std::vector<std::string>& ids) {
   if (ids.empty()) return true;
   return std::any_of(ids.begin(), ids.end(), [&](const std::string& id) {

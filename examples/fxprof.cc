@@ -1,8 +1,8 @@
 // fxprof — drop-in per-node profiler CLI (the paper's Section 6.3 profiler
-// use case, over all three execution engines).
+// use case, over both execution engines).
 //
 //   fxprof resnet18                          profile the traced model (tape)
-//   fxprof resnet18 --engine parallel --threads 4 --trace trace.json
+//   fxprof resnet18 --engine interp --trace trace.json
 //   fxprof mlp --engine all --summary summary.json
 //
 // Prints the aggregated text report (top-k nodes by self time with achieved
@@ -30,10 +30,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: fxprof <mlp|resnet18|resnet50> [options]\n"
-               "  --engine interp|tape|parallel|all   execution engine "
+               "  --engine interp|tape|all   execution engine "
                "(default tape)\n"
-               "  --threads N    inter-op workers for --engine parallel "
-               "(default: interop setting)\n"
                "  --runs N       profiled runs to aggregate (default 3)\n"
                "  --topk N       rows in the text report (default 15)\n"
                "  --trace FILE   write chrome://tracing JSON\n"
@@ -53,7 +51,7 @@ int main(int argc, char** argv) {
   const std::string model_name = argv[1];
   std::string engine = "tape";
   std::string trace_path, summary_path;
-  int threads = 0, runs = 3;
+  int runs = 3;
   std::size_t topk = 15;
   for (int i = 2; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -64,7 +62,6 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--engine") == 0) engine = next("--engine");
-    else if (std::strcmp(argv[i], "--threads") == 0) threads = std::atoi(next("--threads"));
     else if (std::strcmp(argv[i], "--runs") == 0) runs = std::atoi(next("--runs"));
     else if (std::strcmp(argv[i], "--topk") == 0) topk = static_cast<std::size_t>(std::atoi(next("--topk")));
     else if (std::strcmp(argv[i], "--trace") == 0) trace_path = next("--trace");
@@ -74,8 +71,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (engine != "interp" && engine != "tape" && engine != "parallel" &&
-      engine != "all") {
+  if (engine != "interp" && engine != "tape" && engine != "all") {
     return usage();
   }
 
@@ -118,10 +114,6 @@ int main(int argc, char** argv) {
     if (engine == "tape" || engine == "all") {
       const RtValue out = prof.run_tape(in).front();
       if (r == 0) check("tape", out);
-    }
-    if (engine == "parallel" || engine == "all") {
-      const RtValue out = prof.run_parallel(in, threads).front();
-      if (r == 0) check("parallel", out);
     }
   }
 

@@ -47,8 +47,8 @@ int main() {
   }
 
   // --- 2. fault injection + the run_resilient fallback ladder --------------
-  // Make one compute node fail exactly once: the first (parallel) rung
-  // absorbs the fault and the tape rung recovers the run.
+  // Make one compute node fail exactly once: the first (tape) rung absorbs
+  // the fault and the interpreter rung recovers the run.
   const Tensor input = Tensor::randn({8, 8});
   fx::Node* victim = nullptr;
   for (fx::Node* node : gm->graph().nodes()) {

@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification, three ways: a normal Release build+ctest, the same
 # suite under AddressSanitizer+UBSan (FXCPP_SANITIZE=ON), and the
-# concurrency suite (parallel executor, task groups, thread pool, profiler
-# hooks, hardened runtime, inference serving, TRTSim engines) under
+# concurrency suite (task groups, thread pool, profiler hooks, hardened
+# runtime, plan cache, inference serving, TRTSim engines) under
 # ThreadSanitizer (FXCPP_SANITIZE=thread).
 # The ASan step covers the fault-injection differential fuzz (every fault
 # kind at every node must leak nothing and double-free nothing) and the
 # memory-planner fuzz (arena reuse / in-place aliasing must never read or
-# write out of a live slot's bounds); the TSan step covers
-# cancellation/deadline races in the parallel engine and the per-thread
-# pack-cache under concurrent planned execution. Each sanitizer gets
+# write out of a live slot's bounds); the TSan step covers concurrent
+# planned runs over one shared module and the per-thread pack cache. Each sanitizer gets
 # its own build tree. The normal and ASan steps also smoke the fxprof CLI on
 # a traced ResNet-18 (trace + summary must be written and the profiled
 # output must bit-match the unprofiled run — fxprof exits nonzero if not).
@@ -80,27 +79,25 @@ fxprof_smoke "$repo/build-asan"
 
 echo "== [3/3] TSan build + concurrency suite (build-tsan/) =="
 cmake -B "$repo/build-tsan" -S "$repo" -DFXCPP_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j "$jobs" --target test_parallel_exec \
+cmake --build "$repo/build-tsan" -j "$jobs" \
   --target test_runtime --target test_profile --target test_resilience \
   --target test_memory_plan --target test_dataflow --target test_constant_fold \
   --target test_plan_cache --target test_serving --target test_resilience_serve \
   --target test_kernels --target test_trt
-"$repo/build-tsan/tests/test_parallel_exec"
 # test_runtime includes the repeated short parallel_for calls at 4 threads
-# that catch a worker touching the caller's completion mutex after return.
+# that catch a worker touching the caller's completion mutex after return,
+# and the task-group and thread-pool shutdown contracts.
 "$repo/build-tsan/tests/test_runtime"
 "$repo/build-tsan/tests/test_profile"
-# Hardened runtime under TSan: the differential fault fuzz hammers the hook
-# seam from worker threads, and the cancellation/deadline tests exercise the
-# executor's watch loop against in-flight tasks.
+# Hardened runtime under TSan: the differential fault fuzz drives the hook
+# seam through both engines, and the TaskGroup::wait_for tests exercise the
+# polling primitive the serving watch loop is built on.
 "$repo/build-tsan/tests/test_resilience"
-# Planner + pack cache under TSan: planned parallel runs race workers over
-# one arena (WAR edges must serialize them) and the pack-cache concurrency
-# test packs one shared weight from many threads at once.
+# Planner + pack cache under TSan: the pack-cache concurrency test packs one
+# shared weight from many threads at once.
 "$repo/build-tsan/tests/test_memory_plan"
-# Static race checker + folded-graph fuzz under TSan: the schedules the
-# checker proves race-free (including plan-aware WAR edges) actually run
-# race-free, and folded graphs stay clean across parallel engines.
+# Dataflow analyses and the folded-graph fuzz under TSan: both run the
+# intra-op kernel pool underneath the engines.
 "$repo/build-tsan/tests/test_dataflow"
 "$repo/build-tsan/tests/test_constant_fold"
 # Multi-plan cache under TSan: mixed-shape planned runs race LRU eviction,
@@ -116,7 +113,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target test_parallel_exec \
 # mid-flight shutdown.
 "$repo/build-tsan/tests/test_resilience_serve"
 # Micro-kernel layer under TSan: sgemm/qgemm drivers share thread-local
-# pack workspaces with planned parallel runs; the differential fuzz forces
+# pack workspaces across intra-op workers; the differential fuzz forces
 # every ISA tier while rt worker threads execute strips concurrently.
 # Run twice: dispatched tier, then the forced scalar fallback.
 "$repo/build-tsan/tests/test_kernels"

@@ -10,8 +10,7 @@
 //
 // Four concrete analyses are hosted here and consumed by real passes:
 //   - ConstnessAnalysis   -> passes::constant_folding
-//   - AliasAnalysis       -> passes::plan_tape (via alias_summary) and the
-//                            plan.war-ordering verifier rule
+//   - AliasAnalysis       -> passes::plan_tape (via alias_summary)
 //   - LivenessAnalysis    -> cross-checked against the core last_use_index
 //                            liveness shared by codegen / tape / Interpreter
 //   - ReachabilityAnalysis-> dead-code facts (mirrors eliminate_dead_code)

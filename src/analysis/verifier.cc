@@ -5,12 +5,10 @@
 #include <optional>
 #include <unordered_map>
 
-#include "analysis/race_check.h"
 #include "analysis/structural_rules.h"
 #include "core/functional.h"
 #include "core/memory_plan.h"
 #include "core/op_registry.h"
-#include "core/parallel_executor.h"
 #include "core/plan_cache.h"
 #include "passes/shape_prop.h"
 #include "passes/type_check.h"
@@ -300,78 +298,6 @@ void check_gradual_types(const RuleContext& ctx, std::vector<Diagnostic>& out) {
   } catch (const std::exception&) {
     // Unresolvable targets/attrs: the resolve.* rules already report those.
   }
-}
-
-// ---------------------------------------------------------------------------
-// Schedule rule — the inter-op executor's dependency-counted schedule
-// (core/parallel_executor.h) must cover every tape instruction exactly once:
-// a Kahn simulation from the initial ready set must visit all instructions,
-// none twice. A violation means the use-def chains and the compiled tape
-// disagree (cycle, dangling register, or double-write).
-// ---------------------------------------------------------------------------
-
-void check_schedule_coverage(const RuleContext& ctx,
-                             std::vector<Diagnostic>& out) {
-  if (!ctx.gm || !ctx.gm->compiled()) return;
-  const fx::CompiledGraph& cg = ctx.gm->compiled_graph();
-  const fx::Schedule sched = fx::build_schedule(cg);
-  const auto& instrs = cg.instrs();
-
-  std::vector<int> deps = sched.dep_count;
-  std::vector<int> visits(instrs.size(), 0);
-  std::vector<int> queue = sched.initial_ready;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const int i = queue[head];
-    if (++visits[static_cast<std::size_t>(i)] > 1) {
-      const Node* n = instrs[static_cast<std::size_t>(i)].node;
-      emit(out, "schedule.coverage", Severity::Error, n, n ? n->name() : "",
-           "instruction scheduled more than once",
-           "duplicate ready-queue entry: a register has two producers");
-      continue;
-    }
-    for (int succ : sched.succs[static_cast<std::size_t>(i)]) {
-      if (--deps[static_cast<std::size_t>(succ)] == 0) queue.push_back(succ);
-    }
-  }
-  for (std::size_t i = 0; i < instrs.size(); ++i) {
-    if (visits[i] == 0) {
-      const Node* n = instrs[i].node;
-      emit(out, "schedule.coverage", Severity::Error, n, n ? n->name() : "",
-           "instruction never becomes ready under the dependency-counted "
-           "schedule",
-           "dependency cycle or dangling register read in the tape");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Race rules — beyond coverage, the schedule must *order* every conflicting
-// pair of register / arena accesses (analysis/race_check.h). The rules run
-// the checkers against freshly built schedules: schedule.race proves the
-// dependency-counted schedule itself, plan.war-ordering proves the
-// anti-dependency-augmented schedule a planned parallel run executes under.
-// ---------------------------------------------------------------------------
-
-void check_schedule_race_rule(const RuleContext& ctx,
-                              std::vector<Diagnostic>& out) {
-  if (!ctx.gm || !ctx.gm->compiled()) return;
-  const fx::CompiledGraph& cg = ctx.gm->compiled_graph();
-  check_schedule_race(cg, fx::build_schedule(cg), out);
-  if (ctx.gm->has_plan() &&
-      ctx.gm->plan()->intervals.size() == cg.instrs().size()) {
-    // The planned schedule only adds edges, but check it anyway: an edge
-    // bug there would race even on conflict-free register traffic.
-    check_schedule_race(cg, fx::build_planned_schedule(cg, *ctx.gm->plan()),
-                        out);
-  }
-}
-
-void check_plan_war_rule(const RuleContext& ctx, std::vector<Diagnostic>& out) {
-  if (!ctx.gm || !ctx.gm->compiled() || !ctx.gm->has_plan()) return;
-  const fx::CompiledGraph& cg = ctx.gm->compiled_graph();
-  const fx::TapePlan& plan = *ctx.gm->plan();
-  if (plan.intervals.size() != cg.instrs().size()) return;  // plan.aliasing
-  check_plan_war_ordering(cg, fx::build_planned_schedule(cg, plan), plan, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -693,10 +619,6 @@ std::vector<Rule> Verifier::default_rules() {
   r.push_back(Rule{"meta.type-conflict", Severity::Error,
                    "gradual type check over annotated placeholders",
                    check_gradual_types});
-  r.push_back(Rule{"schedule.coverage", Severity::Error,
-                   "parallel schedule covers every tape instruction exactly "
-                   "once (compiled GraphModules)",
-                   check_schedule_coverage});
   r.push_back(Rule{"guards.coverage", Severity::Warning,
                    "annotated placeholders have fresh GuardSpecs "
                    "(stale-guard detection after transforms)",
@@ -705,14 +627,6 @@ std::vector<Rule> Verifier::default_rules() {
                    "installed memory plan is sound: no simultaneously-live "
                    "arena overlap, in-place reuse only of dead inputs",
                    check_plan_aliasing});
-  r.push_back(Rule{"schedule.race", Severity::Error,
-                   "every conflicting register access pair is ordered by a "
-                   "happens-before path through the schedule",
-                   check_schedule_race_rule});
-  r.push_back(Rule{"plan.war-ordering", Severity::Error,
-                   "planned intervals sharing arena bytes are ordered after "
-                   "the earlier interval's readers (anti-dependencies)",
-                   check_plan_war_rule});
   r.push_back(Rule{"plan.cache-coherence", Severity::Error,
                    "every cached plan matches the current tape and its "
                    "guards pin every dimension the arena layout depends on",

@@ -1,19 +1,19 @@
-// ExecHooks — the per-node begin/end instrumentation seam shared by all
-// three execution engines (Interpreter::run, the compiled tape's
-// CompiledGraph::run, and the inter-op ParallelExecutor).
+// ExecHooks — the per-node begin/end instrumentation seam shared by both
+// execution engines (Interpreter::run and the compiled tape's
+// CompiledGraph::run).
 //
 // The paper's flagship Interpreter use case (Section 6.3) is a drop-in
 // profiler that attributes wall time to individual graph nodes; in this
-// reproduction the same seam also instruments the two loaded execution
-// paths, so one observer covers every engine. profile::Profiler is the
-// canonical implementation; future schedulers / lowering passes attach
+// reproduction the same seam also instruments the compiled tape (planned
+// and unplanned), so one observer covers every engine. profile::Profiler is
+// the canonical implementation; future schedulers / lowering passes attach
 // their own observers here instead of patching each engine.
 //
 // Contract:
 //   * on_run_begin / on_run_end bracket one full graph execution.
 //   * on_node_begin / on_node_end bracket one node (Interpreter) or one
-//     tape instruction (serial tape, ParallelExecutor — placeholders are
-//     register fills there, not instructions, so they produce no events).
+//     tape instruction (placeholders are register fills there, not
+//     instructions, so they produce no events).
 //   * `out` in on_node_end is the node's result, observed before it is
 //     moved into the environment/register file. Hooks must not mutate it.
 //   * on_node_output is the one *mutation* point: it fires after the node
@@ -21,9 +21,10 @@
 //     environment, and the hook may replace `out` (the resilience
 //     FaultInjector uses this for NaN/Inf poisoning). The default is a
 //     no-op, so plain observers keep the bit-identical guarantee.
-//   * ParallelExecutor invokes node hooks concurrently from its worker
-//     threads; implementations must be thread-safe. Observing hooks leave
-//     engines bit-identical with or without them.
+//   * One hook object may observe concurrent runs (serving sessions that
+//     share a module, callers running run_planned from several threads), so
+//     implementations must be thread-safe. Observing hooks leave engines
+//     bit-identical with or without them.
 //   * A node that throws produces no on_node_output/on_node_end, but
 //     on_run_end still fires before the exception propagates out of the
 //     engine, so run-level bookkeeping always closes. A hook that throws

@@ -10,7 +10,6 @@
 #include "core/graph_io.h"
 #include "core/interpreter.h"
 #include "core/memory_plan.h"
-#include "core/parallel_executor.h"
 #include "core/plan_cache.h"
 #include "tensor/ops.h"
 
@@ -149,7 +148,6 @@ std::vector<std::string> live_register_names(
 namespace {
 
 // Run one instruction with its arena slot armed (planned) or plainly.
-// Shared by the serial tape loop below and the ParallelExecutor's workers.
 RtValue exec_instr_planned(const Instr& ins, std::vector<RtValue>& regs,
                            const TapePlan* plan, std::size_t idx,
                            std::byte* arena_base) {
@@ -604,46 +602,6 @@ std::vector<Tensor> GraphModule::run_planned_batched(
   return split;
 }
 
-std::vector<RtValue> GraphModule::run_planned_parallel(
-    std::vector<RtValue> inputs, int num_threads) {
-  if (!compiled_) recompile();
-  {
-    // Cache path: hand the executor the entry's plan explicitly; it sizes
-    // its own arena from it, so eviction mid-run is harmless (the entry and
-    // plan stay alive through our shared_ptrs).
-    std::shared_ptr<const TapePlan> plan;
-    std::shared_ptr<PlanCacheEntry> entry;
-    if (run_planned_cached(inputs, &plan, &entry)) {
-      ExecutorOptions eo;
-      eo.num_threads = num_threads;
-      eo.use_plan = true;
-      eo.plan = std::move(plan);
-      ParallelExecutor ex(*this, eo);
-      return ex.run(std::move(inputs));
-    }
-    if (plan_cache()) {
-      ParallelExecutor ex(*this, ExecutorOptions{num_threads, false});
-      return ex.run(std::move(inputs));
-    }
-  }
-  std::shared_ptr<const TapePlan> plan = this->plan();
-  if (!plan || !plan_matches_inputs(*plan, inputs)) {
-    if (replanner_) {
-      std::lock_guard<std::mutex> lk(replan_mu_);
-      replanner_(*this, inputs);
-    }
-    plan = this->plan();
-  }
-  ExecutorOptions eo;
-  eo.num_threads = num_threads;
-  // The executor snapshots the (possibly re-planned) plan at construction
-  // and owns its own arena; with no matching plan it runs unplanned.
-  eo.use_plan = plan != nullptr && plan_matches_inputs(*plan, inputs);
-  if (eo.use_plan) eo.plan = std::move(plan);
-  ParallelExecutor ex(*this, eo);
-  return ex.run(std::move(inputs));
-}
-
 const CompiledGraph& GraphModule::compiled_graph() const {
   if (!compiled_) throw std::logic_error("GraphModule: call recompile() first");
   return *compiled_;
@@ -664,31 +622,11 @@ Value GraphModule::forward(const std::vector<Value>& inputs) {
   return rt_to_value(std::move(out.front()));
 }
 
-Value GraphModule::forward_parallel(const std::vector<Value>& inputs,
-                                    int num_threads) {
-  if (!compiled_) recompile();
-  ParallelExecutor ex(*this, ExecutorOptions{num_threads, false});
-  std::vector<RtValue> rt;
-  rt.reserve(inputs.size());
-  for (const auto& v : inputs) rt.push_back(value_to_rt(v));
-  std::vector<RtValue> out = ex.run(std::move(rt));
-  if (out.empty()) return Value();
-  return rt_to_value(std::move(out.front()));
-}
-
 Tensor GraphModule::run(const std::vector<Tensor>& inputs) {
   std::vector<Value> vs;
   vs.reserve(inputs.size());
   for (const auto& t : inputs) vs.emplace_back(t);
   return forward(vs).tensor();
-}
-
-Tensor GraphModule::run_parallel(const std::vector<Tensor>& inputs,
-                                 int num_threads) {
-  std::vector<Value> vs;
-  vs.reserve(inputs.size());
-  for (const auto& t : inputs) vs.emplace_back(t);
-  return forward_parallel(vs, num_threads).tensor();
 }
 
 void check_guards_strict(const GraphModule& gm,
@@ -771,17 +709,6 @@ std::vector<RtValue> GraphModule::run_resilient(std::vector<RtValue> inputs,
   // so this is pointer-cheap): a failed rung may already have moved its copy
   // into registers, and recovery must start from pristine inputs to stay
   // bit-identical with a fault-free run.
-  if (opts.try_parallel) {
-    const bool ok = attempt(Engine::Parallel, [&] {
-      ExecutorOptions eo;
-      eo.num_threads = opts.num_threads;
-      eo.hooks = opts.hooks;
-      eo.deadline_seconds = opts.deadline_seconds;
-      ParallelExecutor ex(*this, eo);
-      return ex.run(inputs);
-    });
-    if (ok) return out;
-  }
   if (opts.try_tape) {
     const bool ok = attempt(Engine::Tape,
                             [&] { return compiled_->run(inputs, opts.hooks); });

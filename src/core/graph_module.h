@@ -88,9 +88,9 @@ class CompiledGraph {
                                    ExecHooks* hooks = nullptr) const;
 
   // Execute one instruction against a register file and return its result
-  // (the caller stores it into ins.out_reg / the output list). Shared by
-  // the serial run() loop and the inter-op ParallelExecutor; does not apply
-  // Instr::frees — register lifetime is the caller's schedule's concern.
+  // (the caller stores it into ins.out_reg / the output list). Used by the
+  // tape loop; does not apply Instr::frees — register lifetime is the
+  // caller's concern.
   static RtValue exec_instr(const Instr& ins, std::vector<RtValue>& regs);
 
   int num_registers() const { return num_regs_; }
@@ -113,20 +113,13 @@ class CompiledGraph {
 };
 
 // Configuration for GraphModule::run_resilient's fallback ladder. Engines
-// are attempted in the order parallel -> tape -> interpreter; disable rungs
-// to reorder the start of the ladder.
+// are attempted in the order tape -> interpreter; disable a rung to skip it.
 struct ResilientOptions {
-  bool try_parallel = true;
   bool try_tape = true;
   bool try_interpreter = true;
-  int num_threads = 0;  // parallel rung; 0 = rt::get_num_interop_threads()
   // Check generated GuardSpecs before executing (a violation is never
   // retried — no engine can fix the caller's inputs).
   bool check_guards = true;
-  // Wall-clock deadline for the parallel rung (0 = none). Deadline and
-  // cancellation failures fall back to the serial engines like any other
-  // engine-local failure.
-  double deadline_seconds = 0.0;
   ExecHooks* hooks = nullptr;  // observed by every attempted engine
 };
 
@@ -167,23 +160,9 @@ class GraphModule : public nn::Module {
   // Run the tape. Auto-recompiles on first call.
   Value forward(const std::vector<Value>& inputs) override;
 
-  // Run the tape with inter-op parallelism: independent nodes (ResNet
-  // branches, parallel submodules) overlap on a worker pool sized by
-  // `num_threads` (0 = rt::get_num_interop_threads()). Output is
-  // bit-identical to forward() for any thread count; see
-  // core/parallel_executor.h. Auto-recompiles on first call. Repeated
-  // callers should hold a ParallelExecutor instead (this convenience
-  // rebuilds the schedule per call).
-  Value forward_parallel(const std::vector<Value>& inputs,
-                         int num_threads = 0);
-
   // Tensor-in / tensor-out convenience for tests and benches.
   Tensor run(const std::vector<Tensor>& inputs);
   Tensor run(const Tensor& input) { return run(std::vector<Tensor>{input}); }
-  Tensor run_parallel(const std::vector<Tensor>& inputs, int num_threads = 0);
-  Tensor run_parallel(const Tensor& input, int num_threads = 0) {
-    return run_parallel(std::vector<Tensor>{input}, num_threads);
-  }
 
   // --- memory planning (computed by passes/memory_planner) --------------
   // A TapePlan maps each instruction's output to a slot in one pre-sized
@@ -244,11 +223,6 @@ class GraphModule : public nn::Module {
   std::vector<Tensor> run_planned_batched(const std::vector<Tensor>& rows,
                                           ExecHooks* hooks = nullptr);
 
-  // Planned + inter-op parallel convenience: validates/re-plans, then runs
-  // a plan-aware ParallelExecutor (rebuilt per call, like forward_parallel).
-  std::vector<RtValue> run_planned_parallel(std::vector<RtValue> inputs,
-                                            int num_threads = 0);
-
   // --- input guards (resilience) ----------------------------------------
   // GuardSpecs are generated from traced shape/dtype meta by
   // resilience::generate_guards and validated at entry by run_resilient (or
@@ -262,7 +236,7 @@ class GraphModule : public nn::Module {
   void clear_guards() { guards_.clear(); }
 
   // Hardened entry point: optionally checks guards, then walks the engine
-  // fallback ladder (parallel -> serial tape -> Interpreter, each rung
+  // fallback ladder (serial tape -> Interpreter, each rung
   // gated by `opts`), retrying on the next engine when a rung fails with an
   // engine-local error. Input-shaped errors (arity, guard violations) are
   // rethrown immediately — no engine can repair the caller's inputs. When

@@ -2,13 +2,13 @@
 //
 // A TapePlan assigns each instruction's output a slot in one pre-sized
 // arena, computed from per-register live intervals (the tape's ref-counted
-// last-use info) by passes/memory_planner. The executors (serial tape and
-// ParallelExecutor) consume the plan: before running instruction i they arm
-// a thread-local placement hint (Storage::arm_placement) naming the slot, so
-// the kernel's output allocation adopts arena memory instead of hitting the
-// heap. The split mirrors the repo's layering: plan *computation* (liveness,
-// alias analysis, first-fit packing, module classification) needs passes and
-// nn; plan *representation and execution* need only core, so they live here.
+// last-use info) by passes/memory_planner. The tape consumes the plan:
+// before running instruction i it arms a thread-local placement hint
+// (Storage::arm_placement) naming the slot, so the kernel's output
+// allocation adopts arena memory instead of hitting the heap. The split
+// mirrors the repo's layering: plan *computation* (liveness, alias analysis,
+// first-fit packing, module classification) needs passes and nn; plan
+// *representation and execution* need only core, so they live here.
 //
 // Safety comes from two properties:
 //  - The hint is exact-size and single-shot: a kernel whose actual output
@@ -40,7 +40,7 @@ struct PlanInterval {
   bool in_place = false;   // reuses a dead input's slot (can_alias)
   int alias_of = -1;       // interval whose slot this one reuses (in_place)
   // Every instruction that reads this buffer, including reads through
-  // view/alias registers. Drives the parallel anti-dependency edges.
+  // view/alias registers.
   std::vector<int> readers;
 };
 

@@ -192,14 +192,22 @@ std::string ScriptEmitter::emit_module(const nn::Module& m,
                                        const std::string& self,
                                        const std::string& input) {
   const std::string& k = m.kind();
+  // The fused layers are-a Conv2d / Linear whose clamp runs in the kernel
+  // epilogue; script spells the clamp out.
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m)) {
-    return emit_conv2d(*conv, self, input);
+    const std::string y = emit_conv2d(*conv, self, input);
+    return dynamic_cast<const nn::Conv2dReLU*>(conv)
+               ? g_.emit("aten::relu", {y})
+               : y;
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&m)) {
     return emit_batch_norm(*bn, self, input);
   }
   if (const auto* lin = dynamic_cast<const nn::Linear*>(&m)) {
-    return emit_linear(*lin, self, input);
+    const std::string y = emit_linear(*lin, self, input);
+    return dynamic_cast<const nn::LinearReLU*>(lin)
+               ? g_.emit("aten::relu", {y})
+               : y;
   }
   if (k == "ReLU") return g_.emit("aten::relu", {input});
   if (k == "GELU") return g_.emit("aten::gelu", {input, g_.const_str("none")});

@@ -111,8 +111,12 @@ std::string TraceExpander::expand_module_call(const fx::Node& n) {
     const std::string padding = pooled_int_list(conv->padding());
     const std::string dilation = pooled_int_list({1, 1});
     const std::string groups = int_const(1);
-    return g_.emit("aten::conv2d",
-                   {x, w, b, stride, padding, dilation, groups});
+    const std::string y =
+        g_.emit("aten::conv2d", {x, w, b, stride, padding, dilation, groups});
+    // Conv2dReLU is-a Conv2d whose clamp runs in the kernel epilogue.
+    return dynamic_cast<const nn::Conv2dReLU*>(conv)
+               ? g_.emit("aten::relu", {y})
+               : y;
   }
   if (dynamic_cast<const nn::BatchNorm2d*>(m.get())) {
     const std::string w = attr_chain(n.target() + ".weight");
@@ -130,7 +134,10 @@ std::string TraceExpander::expand_module_call(const fx::Node& n) {
     const std::string w = attr_chain(n.target() + ".weight");
     const std::string b = lin->has_bias() ? attr_chain(n.target() + ".bias")
                                           : pooled_const("None");
-    return g_.emit("aten::linear", {x, w, b});
+    const std::string y = g_.emit("aten::linear", {x, w, b});
+    return dynamic_cast<const nn::LinearReLU*>(lin)
+               ? g_.emit("aten::relu", {y})
+               : y;
   }
   const std::string& k = m->kind();
   if (k == "ReLU") return g_.emit("aten::relu", {x});

@@ -492,10 +492,17 @@ void GradBuilder::backprop_function(const Node& n, const Value& g) {
   unsupported(n);
 }
 
-void GradBuilder::backprop_module(const Node& n, const Value& g) {
+void GradBuilder::backprop_module(const Node& n, const Value& g_out) {
   const auto m = gm_.resolve_module(n.target());
   const Node* x = n.args().at(0).node();
   const std::string& t = n.target();
+  // LinearReLU / Conv2dReLU are-a Linear / Conv2d with the clamp in the
+  // kernel epilogue: mask the gradient by the fused output first, then the
+  // plain layer rule below applies unchanged.
+  const bool fused = dynamic_cast<const nn::LinearReLU*>(m.get()) ||
+                     dynamic_cast<const nn::Conv2dReLU*>(m.get());
+  const Value g =
+      fused ? emit("relu_backward", {arg(g_out), arg(fwd(&n))}) : g_out;
 
   if (const auto* lin = dynamic_cast<const nn::Linear*>(m.get())) {
     Value w = attr(t + ".weight");

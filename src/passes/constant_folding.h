@@ -14,8 +14,8 @@
 // Semantics-preserving by construction — the baked tensor is the value the
 // Interpreter would have computed, bit for bit — and validated two ways:
 // PassValidator in the tests, and the differential fuzzer
-// (fuzz_constant_fold) comparing folded vs unfolded outputs across all three
-// engines and thread counts.
+// (fuzz_constant_fold) comparing folded vs unfolded outputs across both
+// engines.
 #pragma once
 
 #include <cstddef>

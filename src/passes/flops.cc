@@ -159,14 +159,7 @@ CostReport estimate_cost(const fx::GraphModule& gm) {
 
 CostReport estimate_cost(fx::GraphModule& gm,
                          const std::vector<Tensor>& example_inputs) {
-  bool missing = false;
-  for (const fx::Node* n : gm.graph().nodes()) {
-    if (n->op() != fx::Opcode::Output && !n->has_shape()) {
-      missing = true;
-      break;
-    }
-  }
-  if (missing) shape_prop(gm, example_inputs);
+  shape_prop(gm, example_inputs);
   return estimate_cost(static_cast<const fx::GraphModule&>(gm));
 }
 

@@ -46,9 +46,9 @@ struct CostReport {
 // stale meta, so a silent 0 would misreport freshly rewritten graphs.
 CostReport estimate_cost(const fx::GraphModule& gm);
 
-// Like the above, but re-runs ShapeProp on `example_inputs` first whenever
-// any value-producing node lacks shape meta, so freshly built or transformed
-// graphs get measured automatically.
+// Like the above, but re-runs ShapeProp on `example_inputs` first, so the
+// report always describes those shapes — never whatever meta the graph last
+// held (a plan-cache miss re-infers meta at its own shapes).
 CostReport estimate_cost(fx::GraphModule& gm,
                          const std::vector<Tensor>& example_inputs);
 

@@ -2,7 +2,7 @@
 //
 // The planner side of core/memory_plan.h: per-instruction live intervals are
 // derived from the tape's register reads (the same use-def info that drives
-// Instr::frees and the parallel Schedule), alias-propagated through
+// Instr::frees), alias-propagated through
 // view-producing ops, and packed into one arena by a greedy first-fit over
 // freed blocks (`first_fit_pack`: inputs allocated before step 0, per step
 // allocate definitions in buffer order *then* free last-uses). TRTSim

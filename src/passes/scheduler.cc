@@ -96,20 +96,4 @@ std::vector<Tensor> run_pipelined(fx::SplitResult& split,
   return out;
 }
 
-std::vector<Tensor> run_parallel(fx::GraphModule& gm,
-                                 const std::vector<Tensor>& stream,
-                                 int num_threads) {
-  fx::ParallelExecutor ex(gm, fx::ExecutorOptions{num_threads, false});
-  std::vector<Tensor> out;
-  out.reserve(stream.size());
-  for (const Tensor& x : stream) {
-    std::vector<fx::RtValue> res = ex.run({fx::RtValue(x)});
-    if (res.empty() || !fx::rt_is_tensor(res.front())) {
-      throw std::logic_error("run_parallel: graph produced a non-tensor output");
-    }
-    out.push_back(std::move(std::get<Tensor>(res.front())));
-  }
-  return out;
-}
-
 }  // namespace fxcpp::passes

@@ -3,15 +3,12 @@
 // of inputs — the "overlapping synchronous CPU operations with asynchronous
 // device operations" pattern the paper reports being used in production.
 //
-// Both the 2-stage pipeline and the wide-branch stream runner ride the same
-// machinery: rt::TaskGroup over the inter-op pool (run_pipelined) and the
-// dependency-counted fx::ParallelExecutor (run_parallel).
+// The pipeline runs stage 1 as rt::TaskGroup tasks on the inter-op pool.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "core/parallel_executor.h"
 #include "core/split.h"
 
 namespace fxcpp::passes {
@@ -29,13 +26,5 @@ std::vector<Tensor> run_serial(fx::SplitResult& split,
 // pipelining).
 std::vector<Tensor> run_pipelined(fx::SplitResult& split,
                                   const std::vector<Tensor>& stream);
-
-// Run a stream through `gm` item-by-item with each item's DAG executed by
-// the inter-op ParallelExecutor, overlapping independent branches inside
-// one item (wide graphs). Outputs bit-equal the serial tape's.
-// `num_threads` 0 = rt::get_num_interop_threads().
-std::vector<Tensor> run_parallel(fx::GraphModule& gm,
-                                 const std::vector<Tensor>& stream,
-                                 int num_threads = 0);
 
 }  // namespace fxcpp::passes

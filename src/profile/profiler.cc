@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/interpreter.h"
-#include "core/parallel_executor.h"
 #include "core/plan_cache.h"
 #include "kernels/dispatch.h"
 #include "tensor/pack_cache.h"
@@ -120,7 +119,6 @@ void Profiler::ensure_cost_model(const std::vector<fx::RtValue>& inputs) {
 
 fx::RtValue Profiler::run_interpreter(std::vector<fx::RtValue> inputs) {
   ensure_cost_model(inputs);
-  per_node_memory_ = opts_.track_memory;
   fx::Interpreter interp(gm_);
   interp.set_hooks(this);
   return interp.run(std::move(inputs));
@@ -128,22 +126,8 @@ fx::RtValue Profiler::run_interpreter(std::vector<fx::RtValue> inputs) {
 
 std::vector<fx::RtValue> Profiler::run_tape(std::vector<fx::RtValue> inputs) {
   ensure_cost_model(inputs);
-  per_node_memory_ = opts_.track_memory;
   if (!gm_.compiled()) gm_.recompile();
   return gm_.compiled_graph().run(std::move(inputs), this);
-}
-
-std::vector<fx::RtValue> Profiler::run_parallel(
-    std::vector<fx::RtValue> inputs, int num_threads) {
-  ensure_cost_model(inputs);
-  // Per-node allocator deltas are thread-local reads of a global counter —
-  // meaningless under concurrency, so only run-level memory stays on.
-  per_node_memory_ = false;
-  fx::ExecutorOptions opts;
-  opts.num_threads = num_threads;
-  opts.hooks = this;
-  fx::ParallelExecutor ex(gm_, opts);
-  return ex.run(std::move(inputs));
 }
 
 void Profiler::on_run_begin(std::size_t num_nodes) {
@@ -165,7 +149,7 @@ void Profiler::on_node_begin(const fx::Node& n) {
   slot.node = &n;
   slot.lane = lane_of_locked(std::this_thread::get_id());
   slot.start = now;
-  if (per_node_memory_) slot.live_before = Storage::live_bytes();
+  if (opts_.track_memory) slot.live_before = Storage::live_bytes();
   open_[std::this_thread::get_id()] = slot;
 }
 
@@ -199,7 +183,7 @@ void Profiler::on_node_end(const fx::Node& n, const fx::RtValue& out) {
   p.total_seconds += secs;
   p.max_seconds = std::max(p.max_seconds, secs);
   p.out_bytes = bytes_of(out);
-  if (per_node_memory_) {
+  if (opts_.track_memory) {
     p.alloc_bytes += Storage::live_bytes() - slot.live_before;
   }
 }

@@ -1,8 +1,7 @@
 // Profiler — per-node performance attribution over the fx IR, the paper's
 // flagship Interpreter use case (Section 6.3's drop-in profiler) grown into
-// a subsystem: one observer (core/exec_hooks.h) instruments all three
-// execution engines — Interpreter::run, the compiled tape, and the inter-op
-// ParallelExecutor — and reports
+// a subsystem: one observer (core/exec_hooks.h) instruments both execution
+// engines — Interpreter::run and the compiled tape — and reports
 //
 //   * wall time and call counts per node (self time; the IR has no nesting),
 //   * achieved FLOP/s and bytes against the passes::flops cost model joined
@@ -13,7 +12,7 @@
 // Three views:
 //   text_report()      — aggregated top-k by self time, roofline ratios
 //   chrome_trace_json()— chrome://tracing / Perfetto trace, one lane per
-//                        executing thread (inter-op workers get own lanes)
+//                        executing thread (concurrent callers get own lanes)
 //   summary_json()     — machine-readable; consumed by bench_profile and
 //                        the examples/fxprof CLI
 //
@@ -43,9 +42,7 @@ struct ProfileOptions {
   // the modest single-core container this reproduction targets).
   double flops_per_sec = 5e9;
   double bytes_per_sec = 10e9;
-  // Read tensor/Storage allocator counters around each node. Per-node
-  // attribution is only meaningful on the serial engines (the run_parallel
-  // wrapper disables it; run-level live/peak stays on).
+  // Read tensor/Storage allocator counters around each node and run.
   bool track_memory = true;
 };
 
@@ -99,8 +96,6 @@ class Profiler : public fx::ExecHooks {
   // accumulate into the same aggregate; reset() starts over.
   fx::RtValue run_interpreter(std::vector<fx::RtValue> inputs);
   std::vector<fx::RtValue> run_tape(std::vector<fx::RtValue> inputs);
-  std::vector<fx::RtValue> run_parallel(std::vector<fx::RtValue> inputs,
-                                        int num_threads = 0);
 
   // ExecHooks implementation (thread-safe) — engines call these; attach
   // `this` to any future engine via its hooks seam to profile it too.
@@ -119,7 +114,7 @@ class Profiler : public fx::ExecHooks {
   std::size_t runs() const { return runs_; }
   double wall_seconds() const { return wall_seconds_; }
   // Sum of per-node self times across all runs (compare with wall_seconds
-  // to see instrumentation coverage / parallel overlap).
+  // to see instrumentation coverage).
   double node_seconds() const;
   int num_lanes() const;
 
@@ -161,7 +156,6 @@ class Profiler : public fx::ExecHooks {
   std::chrono::steady_clock::time_point run_start_;
   std::int64_t run_alloc_before_ = 0;
   std::int64_t run_alloc_count_before_ = 0;
-  bool per_node_memory_ = true;  // cleared during run_parallel
   MemoryStats mem_;
 };
 

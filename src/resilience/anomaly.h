@@ -7,10 +7,11 @@
 //
 // Record mode collects findings for a post-run report(); Throw mode raises
 // ExecError{NumericAnomaly} at the offending node, which the engines
-// annotate and propagate exactly like a kernel failure — deterministically,
-// even under the ParallelExecutor (min-schedule-order error wins).
+// annotate and propagate exactly like a kernel failure.
 //
-// Thread-safe: the ParallelExecutor invokes on_node_end concurrently.
+// Thread-safe: one detector may observe concurrent runs (e.g. several
+// serving sessions sharing one module), so on_node_end may run
+// concurrently.
 #pragma once
 
 #include <cstdint>

@@ -25,8 +25,8 @@
 // every *successful* response is still bit-equal to the reference.
 //
 // Scope: one injector observes one session's (serialized) engine runs; all
-// state is mutex-guarded, so concurrent node events (ParallelExecutor
-// workers) are safe, but two truly overlapping runs would share one draw.
+// state is mutex-guarded, so concurrent node events are safe, but two truly
+// overlapping runs would share one draw.
 // The serving batcher runs engines one at a time, which is the intended
 // deployment.
 #pragma once

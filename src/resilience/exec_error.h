@@ -1,7 +1,7 @@
 // ExecError — the structured error taxonomy of the hardened execution
-// runtime (src/resilience). One exception type spans all three engines
-// (Interpreter, compiled tape, ParallelExecutor) and carries everything a
-// production operator needs to act on a failure: a machine-matchable code,
+// runtime (src/resilience). One exception type spans both engines
+// (Interpreter, compiled tape) and carries everything a production operator
+// needs to act on a failure: a machine-matchable code,
 // the failing node's name/op/target, which engine was running, and the
 // partial environment state (names of values live at the failure point).
 //
@@ -42,7 +42,6 @@ enum class ErrorCode {
   NumericAnomaly,    // NaN/Inf detected in a node output (anomaly mode)
   Cancelled,         // cooperative cancellation token observed
   DeadlineExceeded,  // wall-clock deadline expired mid-run
-  ScheduleError,     // the dependency-counted schedule failed to cover
   AdmissionRejected, // serving: request refused before execution (queue full,
                      // shed by priority watermark, or session shutting down)
                      // — never reached an engine
@@ -66,7 +65,6 @@ inline const char* error_code_name(ErrorCode c) {
     case ErrorCode::NumericAnomaly: return "numeric-anomaly";
     case ErrorCode::Cancelled: return "cancelled";
     case ErrorCode::DeadlineExceeded: return "deadline-exceeded";
-    case ErrorCode::ScheduleError: return "schedule-error";
     case ErrorCode::AdmissionRejected: return "admission-rejected";
     case ErrorCode::CircuitOpen: return "circuit-open";
   }
@@ -78,7 +76,6 @@ enum class Engine {
   Unknown,
   Interpreter,  // Interpreter::run (node-by-node, per-node dispatch)
   Tape,         // CompiledGraph::run (serial compiled tape)
-  Parallel,     // ParallelExecutor (inter-op dependency-counted schedule)
 };
 
 inline const char* engine_name(Engine e) {
@@ -86,7 +83,6 @@ inline const char* engine_name(Engine e) {
     case Engine::Unknown: return "unknown";
     case Engine::Interpreter: return "interpreter";
     case Engine::Tape: return "tape";
-    case Engine::Parallel: return "parallel";
   }
   return "?";
 }
@@ -176,7 +172,7 @@ inline bool is_input_error(ErrorCode c) {
   return c == ErrorCode::ArityMismatch || c == ErrorCode::GuardViolation;
 }
 
-// The one arity-mismatch message all three engines share, so the parity
+// The one arity-mismatch message both engines share, so the parity
 // tests can assert identical text modulo the engine field.
 inline ExecError arity_error(std::size_t expected_placeholders,
                              std::size_t got) {
@@ -191,7 +187,7 @@ inline ExecError arity_error(std::size_t expected_placeholders,
 // exception zoo onto the taxonomy: ExecError passes through gaining only
 // its unset fields, AllocLimitError (tensor/Storage ceiling) becomes
 // AllocLimit, anything else becomes NodeFailure wrapping the original
-// message. All three engines funnel their per-node failures through here,
+// message. Both engines funnel their per-node failures through here,
 // which is what makes differential fault injection assert "same code, same
 // node" across engines.
 [[noreturn]] inline void rethrow_annotated(const fx::Node* node, Engine engine,

@@ -1,8 +1,8 @@
 // FaultInjector — deterministic fault injection riding the ExecHooks seam.
 //
 // TorchProbe-style systematic fuzzing (PAPERS.md) needs a way to make any
-// node fail, in any engine, on demand. Because all three engines
-// (Interpreter, compiled tape, ParallelExecutor) drive the same hook seam,
+// node fail, in any engine, on demand. Because both engines (Interpreter,
+// compiled tape, planned or not) drive the same hook seam,
 // one injector covers them all without engine-specific patching, and the
 // differential fuzz can assert that a fault at node N surfaces as the same
 // ExecError code at the same node everywhere.
@@ -13,8 +13,8 @@
 // engines but the Node* does. Placeholder/output nodes produce hook events
 // only in the Interpreter — target compute nodes for cross-engine parity.
 //
-// Thread safety: all state is atomic or thread-local; the ParallelExecutor
-// calls hooks concurrently from workers.
+// Thread safety: all state is atomic or thread-local, so concurrent runs
+// sharing one injector may call its hooks from several threads.
 #pragma once
 
 #include <atomic>

@@ -4,8 +4,8 @@
 // The breaker answers "should we run at all"; the health machine answers
 // "on which rung". run_resilient (PR 4) already established the ladder —
 // every rung is bit-identical on success, each one trades throughput for
-// isolation — and the serving analogue of its parallel -> tape ->
-// interpreter ordering is:
+// isolation — and the serving analogue of its tape -> interpreter ordering
+// is:
 //
 //   Healthy  -> PlannedBatched : coalesced batches on the planned tape
 //               (the fast path: one arena lease + one dispatch per batch)

@@ -42,7 +42,6 @@ bool RetryPolicy::retryable(ErrorCode c) {
     case ErrorCode::NodeFailure:
     case ErrorCode::AllocLimit:
     case ErrorCode::NumericAnomaly:
-    case ErrorCode::ScheduleError:
     case ErrorCode::Unknown:
       return true;
     case ErrorCode::ArityMismatch:     // input error: identical on any engine

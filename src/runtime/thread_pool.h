@@ -3,8 +3,8 @@
 // Mirrors the split PyTorch makes between ATen's *intra-op* pool (tensor
 // kernels call parallel_for(); the global thread-count knob plays the role
 // of OMP_NUM_THREADS in the paper's Conv-BN fusion experiment, Appendix C)
-// and the *inter-op* pool used to overlap independent graph nodes
-// (Section 6.2.3's "overlapping independent work" production pattern).
+// and the *inter-op* pool used to overlap independent work, such as the
+// stages of a software pipeline (Section 6.2.3) or a serving batch.
 // Keeping them separate is what makes nesting deadlock-free: an inter-op
 // task may block inside parallel_for() waiting on intra-op chunks, but
 // intra-op chunks never wait on inter-op work.
@@ -81,11 +81,10 @@ class ThreadPool {
 };
 
 // A waitable batch of tasks on a ThreadPool. submit() alone is
-// fire-and-forget; TaskGroup adds the completion signal the inter-op graph
-// executor needs: run() schedules a task, wait() blocks until every task
-// scheduled so far (including ones scheduled *by* running tasks — the
-// executor spawns successors from inside workers) has finished, rethrowing
-// the first exception any task raised.
+// fire-and-forget; TaskGroup adds a completion signal: run() schedules a
+// task, wait() blocks until every task scheduled so far (including ones
+// scheduled *by* running tasks) has finished, rethrowing the first
+// exception any task raised.
 //
 // Tasks may call run() on their own group; wait() returns only when the
 // pending count reaches zero. The group must stay alive until wait()
@@ -107,7 +106,7 @@ class ThreadPool {
 class TaskGroup {
  public:
   // Non-owning: the caller guarantees `pool` outlives the group (the idiom
-  // for locally owned pools, e.g. the ParallelExecutor's private pool).
+  // for locally owned pools).
   explicit TaskGroup(ThreadPool& pool);
   // Owning: pins the pool for the group's lifetime. Required with the
   // process-wide pools (ThreadPool::inter_op_handle()), whose current
@@ -127,8 +126,8 @@ class TaskGroup {
 
   // Bounded wait: true when the group quiesced within `timeout` (consuming
   // and rethrowing a captured exception exactly like wait()), false on
-  // timeout with tasks still pending. The polling loop the ParallelExecutor
-  // and the serving batcher build their cancellation/deadline watches on.
+  // timeout with tasks still pending. The polling loop the serving batcher
+  // builds its cancellation/deadline watch on.
   bool wait_for(std::chrono::milliseconds timeout);
 
   // Block until the group quiesces and return (consuming, not throwing) the

@@ -549,11 +549,8 @@ void InferenceSession::rescue_requests(std::vector<Request>& reqs,
                                        bool from_failed_batch) {
   // Per-request rescue: one poisoned input must fail alone. Guards are
   // specialized to the session's example shape, so they stay off here (the
-  // plan-cache path already keys safety by signature); the parallel rung
-  // stays off too — the rescue path runs on the batcher thread and wants
-  // the serial tape -> interpreter ladder.
+  // plan-cache path already keys safety by signature).
   fx::ResilientOptions base;
-  base.try_parallel = false;
   base.check_guards = false;
   base.hooks = opts_.hooks;
 

@@ -18,8 +18,8 @@
 // free a buffer a caller is still reading from. Only weights are ever
 // cached — activations go through the per-call workspaces below.
 //
-// The cache is thread-local: each ParallelExecutor worker keeps its own
-// entries, so lookups take no locks and the cache is trivially race-free
+// The cache is thread-local: each thread running planned or unplanned tapes
+// keeps its own entries, so lookups take no locks and the cache is trivially race-free
 // under TSan. Entries are keyed by storage identity and validated against
 // the storage's mutation version (Storage::version(), bumped by every
 // in-place tensor mutation) plus the view geometry — mutate a weight and the

@@ -19,7 +19,7 @@ std::atomic<std::int64_t> g_alloc_count{0};
 // an injected limit scoped to the worker running the targeted node.
 thread_local std::int64_t t_alloc_limit = 0;
 // Single-shot placement hint; see Storage::arm_placement. Thread-local so
-// each ParallelExecutor worker can aim its own instruction's arena slot.
+// concurrent planned runs each aim their own instruction's arena slot.
 thread_local std::byte* t_place_ptr = nullptr;
 thread_local std::size_t t_place_nbytes = 0;
 std::atomic<std::int64_t> g_served_bytes{0};

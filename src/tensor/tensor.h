@@ -76,12 +76,12 @@ class Storage {
   // throws AllocLimitError — single-shot by design, so the failure cannot
   // cascade into unwinding/cleanup allocations. 0 disarms. Thread-local so
   // the resilience FaultInjector can target one executing node without
-  // racing sibling ParallelExecutor workers.
+  // racing runs on other threads.
   static void set_alloc_limit(std::int64_t max_live_bytes);
   static std::int64_t alloc_limit();
 
   // --- thread-local placement hint (memory planner) ---------------------
-  // The planned executors arm a single-shot hint naming the arena slot for
+  // Planned tape runs arm a single-shot hint naming the arena slot for
   // the instruction about to run. The next Storage(nbytes) constructed on
   // this thread with *exactly* the hinted logical size adopts the slot
   // (non-owning, no heap traffic) instead of allocating; any other size

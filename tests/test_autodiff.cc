@@ -9,6 +9,7 @@
 #include "runtime/rng.h"
 #include "nn/models/mlp.h"
 #include "passes/autodiff.h"
+#include "passes/fuse_linear_relu.h"
 #include "tensor/ops.h"
 
 namespace fxcpp {
@@ -225,6 +226,50 @@ TEST(Autodiff, GradientGraphIsInspectableAndOptimizable) {
   for (std::size_t i = 0; i < g1.size(); ++i) {
     EXPECT_TRUE(allclose(g1[i].second, g2[i].second));
   }
+}
+
+// Fused layers (LinearReLU / Conv2dReLU) clamp in the kernel epilogue; their
+// gradients must match the unfused Linear/Conv2d -> ReLU pair's.
+void expect_fused_grads_match(fx::GraphModule& unfused, fx::GraphModule& fused,
+                              const Tensor& x) {
+  ASSERT_EQ(passes::fuse_linear_relu(fused), 1);
+  const auto ref = passes::build_gradient_graph(unfused, {x}).run({x});
+  const auto got = passes::build_gradient_graph(fused, {x}).run({x});
+  ASSERT_EQ(got.size(), ref.size());
+  for (const auto& [name, g] : ref) {
+    EXPECT_TRUE(allclose(grad_of(got, name), g)) << name;
+  }
+}
+
+TEST(Autodiff, FusedLinearReluMatchesUnfused) {
+  auto make = [] {
+    rt::Rng::global().reseed(77);
+    return fx::symbolic_trace(nn::models::mlp({8, 16, 4}, "relu"));
+  };
+  auto unfused = make();
+  auto fused = make();
+  expect_fused_grads_match(*unfused, *fused, Tensor::randn({3, 8}));
+}
+
+TEST(Autodiff, FusedConvReluMatchesUnfused) {
+  class ConvReluNet : public nn::Module {
+   public:
+    ConvReluNet() : nn::Module("ConvReluNet") {
+      register_module("conv", std::make_shared<nn::Conv2d>(2, 3, 3, 1, 1));
+      register_module("act", std::make_shared<nn::ReLU>());
+    }
+    Value forward(const std::vector<Value>& in) override {
+      return fx::fn::mean(
+          (*get_submodule("act"))((*get_submodule("conv"))(in.at(0))));
+    }
+  };
+  auto make = [] {
+    rt::Rng::global().reseed(1234);
+    return fx::symbolic_trace(std::make_shared<ConvReluNet>());
+  };
+  auto unfused = make();
+  auto fused = make();
+  expect_fused_grads_match(*unfused, *fused, Tensor::randn({1, 2, 5, 5}));
 }
 
 }  // namespace

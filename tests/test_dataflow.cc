@@ -1,21 +1,16 @@
-// Dataflow framework + static race checker tests: constness lattice,
-// alias-summary/planner agreement, liveness vs the core last_use_index,
-// reachability/dead-code, the stable --analyze JSON dump, HappensBefore
-// closure, and the schedule.race / plan.war-ordering checks — clean on every
-// schedule the repo builds, and firing on deliberately corrupted ones.
+// Dataflow framework tests: constness lattice, alias-summary/planner
+// agreement, liveness vs the core last_use_index, reachability/dead-code,
+// and the stable --analyze JSON dump.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/dataflow.h"
-#include "analysis/race_check.h"
 #include "analysis/verifier.h"
 #include "core/codegen.h"
 #include "core/functional.h"
-#include "core/parallel_executor.h"
 #include "core/tracer.h"
 #include "passes/memory_planner.h"
 #include "passes/shape_prop.h"
@@ -99,14 +94,6 @@ FuzzCase random_dag(std::uint64_t seed) {
   fc.gm->recompile();
   for (int i = 0; i < n_inputs; ++i) fc.inputs.push_back(random_tensor(rng));
   return fc;
-}
-
-int rules_fired(const std::vector<analysis::Diagnostic>& ds,
-                const std::string& rule) {
-  return static_cast<int>(
-      std::count_if(ds.begin(), ds.end(), [&](const analysis::Diagnostic& d) {
-        return d.rule == rule;
-      }));
 }
 
 // --------------------------------------------------------------------------
@@ -302,188 +289,6 @@ TEST(AnalyzeGraph, JsonIsStableAndComplete) {
 
   const std::string text = analysis::analyze_graph(make()->graph()).to_string();
   EXPECT_NE(text.find("matmul"), std::string::npos);
-}
-
-// --------------------------------------------------------------------------
-// HappensBefore
-// --------------------------------------------------------------------------
-
-TEST(HappensBefore, TransitiveClosureOverDiamond) {
-  //   0 -> 1 -> 3
-  //   0 -> 2 -> 3      4 isolated
-  const std::vector<std::vector<int>> succs{{1, 2}, {3}, {3}, {}, {}};
-  analysis::HappensBefore hb(5, succs);
-  EXPECT_FALSE(hb.cyclic());
-  EXPECT_TRUE(hb.ordered(0, 3));   // transitive
-  EXPECT_TRUE(hb.ordered(0, 1));
-  EXPECT_TRUE(hb.ordered(2, 2));   // reflexive by convention
-  EXPECT_FALSE(hb.ordered(1, 2));  // parallel branches
-  EXPECT_FALSE(hb.ordered(3, 0));  // no backwards order
-  EXPECT_FALSE(hb.ordered(0, 4));
-}
-
-TEST(HappensBefore, DetectsCycle) {
-  const std::vector<std::vector<int>> succs{{1}, {2}, {0}};
-  analysis::HappensBefore hb(3, succs);
-  EXPECT_TRUE(hb.cyclic());
-  EXPECT_FALSE(hb.ordered(0, 1));  // no order exists in a cyclic "schedule"
-}
-
-// --------------------------------------------------------------------------
-// schedule.race — clean on real schedules, loud on corrupted ones
-// --------------------------------------------------------------------------
-
-TEST(ScheduleRace, CleanOnEveryBuiltSchedule) {
-  for (std::uint64_t seed = 40; seed < 52; ++seed) {
-    FuzzCase fc = random_dag(seed);
-    const fx::CompiledGraph& cg = fc.gm->compiled_graph();
-    std::vector<analysis::Diagnostic> ds;
-    analysis::check_schedule_race(cg, fx::build_schedule(cg), ds);
-    EXPECT_TRUE(ds.empty()) << "seed " << seed << ": " << ds[0].to_string();
-
-    passes::shape_prop(*fc.gm, fc.inputs);
-    passes::compile_planned(*fc.gm, fc.inputs);
-    const fx::CompiledGraph& pcg = fc.gm->compiled_graph();
-    std::vector<analysis::Diagnostic> pds;
-    const fx::Schedule planned =
-        fx::build_planned_schedule(pcg, *fc.gm->plan());
-    analysis::check_schedule_race(pcg, planned, pds);
-    analysis::check_plan_war_ordering(pcg, planned, *fc.gm->plan(), pds);
-    EXPECT_TRUE(pds.empty()) << "seed " << seed << ": " << pds[0].to_string();
-  }
-}
-
-// Fixed chain x -> matmul -> relu -> output: one completion edge carries the
-// whole order, so corruptions are surgical.
-FuzzCase chain_case() {
-  auto g = std::make_unique<Graph>();
-  Node* x = g->placeholder("x");
-  Node* m = g->call_function("matmul", {x, x});
-  Node* r = g->call_function("relu", {m});
-  g->output(r);
-  FuzzCase fc;
-  fc.gm = std::make_shared<GraphModule>(nullptr, std::move(g), "Chain");
-  fc.gm->recompile();
-  rt::Rng rng(11);
-  fc.inputs.push_back(random_tensor(rng));
-  return fc;
-}
-
-TEST(ScheduleRace, CatchesRemovedCompletionEdge) {
-  FuzzCase fc = chain_case();
-  const fx::CompiledGraph& cg = fc.gm->compiled_graph();
-  fx::Schedule sched = fx::build_schedule(cg);
-
-  // Drop the matmul -> relu edge: relu may now read the matmul register
-  // before it is written.
-  ASSERT_FALSE(sched.succs[0].empty());
-  sched.succs[0].clear();
-  sched.dep_count[1] = 0;
-  sched.initial_ready.push_back(1);
-
-  std::vector<analysis::Diagnostic> ds;
-  analysis::check_schedule_race(cg, sched, ds);
-  EXPECT_GT(rules_fired(ds, "schedule.race"), 0);
-}
-
-TEST(ScheduleRace, CatchesReadCountUndercount) {
-  FuzzCase fc = chain_case();
-  const fx::CompiledGraph& cg = fc.gm->compiled_graph();
-  fx::Schedule sched = fx::build_schedule(cg);
-
-  // Understate one register's reader count: the ref-counted free fires while
-  // a reader is still pending.
-  bool corrupted = false;
-  for (auto& c : sched.reg_reads) {
-    if (c > 0) {
-      --c;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
-
-  std::vector<analysis::Diagnostic> ds;
-  analysis::check_schedule_race(cg, sched, ds);
-  EXPECT_GT(rules_fired(ds, "schedule.race"), 0);
-}
-
-TEST(ScheduleRace, CatchesCyclicEdgeRelation) {
-  FuzzCase fc = chain_case();
-  const fx::CompiledGraph& cg = fc.gm->compiled_graph();
-  fx::Schedule sched = fx::build_schedule(cg);
-  sched.succs[1].push_back(0);  // relu -> matmul back edge
-
-  std::vector<analysis::Diagnostic> ds;
-  analysis::check_schedule_race(cg, sched, ds);
-  EXPECT_GT(rules_fired(ds, "schedule.race"), 0);
-}
-
-// --------------------------------------------------------------------------
-// plan.war-ordering — the anti-dependency obligation of arena reuse
-// --------------------------------------------------------------------------
-
-// x; a = relu(x); b = matmul(a, a); c = relu(x); out = add(b, c).
-// `a` dies at `b`, so first-fit hands its arena slot to `c` — legal in tape
-// order, a write-after-read race under any schedule that does not order
-// c's definition after b (a's reader).
-TEST(PlanWarOrdering, SlotReuseNeedsWarEdges) {
-  auto g = std::make_unique<Graph>();
-  Node* x = g->placeholder("x");
-  Node* a = g->call_function("relu", {x});
-  Node* b = g->call_function("matmul", {a, a});
-  Node* c = g->call_function("relu", {x});
-  Node* out = g->call_function("add", {b, c});
-  g->output(out);
-  auto gm = std::make_shared<GraphModule>(nullptr, std::move(g), "War");
-  gm->recompile();
-  rt::Rng rng(3);
-  const Tensor in = random_tensor(rng);
-  passes::shape_prop(*gm, {in});
-  const auto plan = passes::plan_tape(*gm);
-
-  // Precondition for the scenario: a (#0) and c (#2) actually share bytes.
-  ASSERT_TRUE(plan->intervals[0].planned);
-  ASSERT_TRUE(plan->intervals[2].planned);
-  ASSERT_FALSE(plan->intervals[2].in_place);
-  ASSERT_EQ(plan->intervals[0].offset, plan->intervals[2].offset);
-
-  const fx::CompiledGraph& cg = gm->compiled_graph();
-
-  // The dependency-only schedule has no path b -> c: flagged.
-  std::vector<analysis::Diagnostic> raw;
-  analysis::check_plan_war_ordering(cg, fx::build_schedule(cg), *plan, raw);
-  EXPECT_GT(rules_fired(raw, "plan.war-ordering"), 0);
-
-  // The plan-aware schedule adds exactly those WAR edges: clean.
-  std::vector<analysis::Diagnostic> planned;
-  analysis::check_plan_war_ordering(
-      cg, fx::build_planned_schedule(cg, *plan), *plan, planned);
-  EXPECT_TRUE(planned.empty()) << planned[0].to_string();
-}
-
-// --------------------------------------------------------------------------
-// Verifier integration: both rules registered and clean on planned modules
-// --------------------------------------------------------------------------
-
-TEST(VerifierRules, RaceRulesCleanOnPlannedModule) {
-  FuzzCase fc = random_dag(99);
-  passes::shape_prop(*fc.gm, fc.inputs);
-  passes::compile_planned(*fc.gm, fc.inputs);
-
-  const analysis::Report report = analysis::verify(*fc.gm);
-  EXPECT_EQ(report.count_rule("schedule.race"), 0) << report.to_string();
-  EXPECT_EQ(report.count_rule("plan.war-ordering"), 0) << report.to_string();
-
-  const auto rules = analysis::Verifier::default_rules();
-  const bool has_race = std::any_of(
-      rules.begin(), rules.end(),
-      [](const analysis::Rule& r) { return r.id == "schedule.race"; });
-  const bool has_war = std::any_of(
-      rules.begin(), rules.end(),
-      [](const analysis::Rule& r) { return r.id == "plan.war-ordering"; });
-  EXPECT_TRUE(has_race);
-  EXPECT_TRUE(has_war);
 }
 
 }  // namespace

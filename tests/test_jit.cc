@@ -8,6 +8,7 @@
 #include "jit/trace.h"
 #include "nn/models/mlp.h"
 #include "nn/models/resnet.h"
+#include "passes/fuse_linear_relu.h"
 
 namespace fxcpp {
 namespace {
@@ -91,6 +92,52 @@ TEST(JitScript, MlpFallbackChain) {
   EXPECT_EQ(g->count_kind("aten::linear"), 2);
   EXPECT_EQ(g->count_kind("aten::relu"), 1);
   EXPECT_GT(g->count_kind("prim::GetAttr"), 4);
+}
+
+// Fused layers are-a Linear / Conv2d whose clamp runs in the kernel
+// epilogue; trace and script must still spell the ReLU out.
+TEST(JitTrace, FusedLinearReluKeepsItsRelu) {
+  auto unfused = fx::symbolic_trace(nn::models::mlp({8, 16, 4}, "relu"));
+  auto fused = fx::symbolic_trace(nn::models::mlp({8, 16, 4}, "relu"));
+  ASSERT_EQ(passes::fuse_linear_relu(*fused), 1);
+  const auto ref = jit::trace(*unfused);
+  const auto got = jit::trace(*fused);
+  EXPECT_EQ(ref->count_kind("aten::relu"), 1);
+  EXPECT_EQ(got->count_kind("aten::relu"), ref->count_kind("aten::relu"));
+  EXPECT_EQ(got->count_kind("aten::linear"), 2);
+  EXPECT_EQ(got->count_ops(), ref->count_ops());
+}
+
+TEST(JitTrace, FusedConvReluKeepsItsRelu) {
+  auto make = [] {
+    return fx::symbolic_trace(std::make_shared<nn::Sequential>(
+        std::vector<nn::Module::Ptr>{std::make_shared<nn::Conv2d>(2, 3, 3),
+                                     std::make_shared<nn::ReLU>()}));
+  };
+  auto unfused = make();
+  auto fused = make();
+  ASSERT_EQ(passes::fuse_linear_relu(*fused), 1);
+  const auto ref = jit::trace(*unfused);
+  const auto got = jit::trace(*fused);
+  EXPECT_EQ(ref->count_kind("aten::relu"), 1);
+  EXPECT_EQ(got->count_kind("aten::relu"), ref->count_kind("aten::relu"));
+  EXPECT_EQ(got->count_kind("aten::conv2d"), 1);
+}
+
+TEST(JitScript, FusedLayersKeepTheirRelu) {
+  const auto lin = std::make_shared<nn::Linear>(8, 16);
+  const auto conv = std::make_shared<nn::Conv2d>(2, 3, 3);
+  const nn::Sequential unfused(std::vector<nn::Module::Ptr>{
+      lin, std::make_shared<nn::ReLU>(), conv, std::make_shared<nn::ReLU>()});
+  const nn::Sequential fused(std::vector<nn::Module::Ptr>{
+      std::make_shared<nn::LinearReLU>(*lin),
+      std::make_shared<nn::Conv2dReLU>(*conv)});
+  const auto ref = jit::script(unfused);
+  const auto got = jit::script(fused);
+  EXPECT_EQ(ref->count_kind("aten::relu"), 2);
+  EXPECT_EQ(got->count_kind("aten::relu"), ref->count_kind("aten::relu"));
+  EXPECT_EQ(got->count_kind("aten::linear"), 1);
+  EXPECT_EQ(got->count_kind("aten::conv2d"), 1);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Static memory planner + pack cache: differential fuzzing of planned
-// execution against the unplanned engines (bit-equal across interpreter /
-// serial tape / parallel x{1,2,8}), first-fit packing semantics, shape-change
+// execution against the unplanned engines (bit-equal across interpreter and
+// serial tape), first-fit packing semantics, shape-change
 // re-planning, fault-injection interplay, the plan.aliasing verifier rule,
 // infer_meta fidelity against ShapeProp on every model, and PackCache
 // hit/repack/eviction/concurrency behavior. All randomness is
@@ -15,7 +15,6 @@
 #include "core/custom_op.h"
 #include "core/interpreter.h"
 #include "core/memory_plan.h"
-#include "core/parallel_executor.h"
 #include "core/tracer.h"
 #include "nn/models/deep_recommender.h"
 #include "nn/models/dlrm.h"
@@ -237,8 +236,8 @@ TEST(MemoryPlan, EscapedOutputsSurviveArenaReuse) {
 }
 
 // --------------------------------------------------------------------------
-// Differential fuzz: planned execution bit-equals the unplanned engines
-// across serial and parallel x{1,2,8}, over the PR 2 DAG corpus.
+// Differential fuzz: planned execution bit-equals the unplanned engines over
+// a corpus of random DAGs.
 // --------------------------------------------------------------------------
 
 TEST(MemoryPlanFuzz, PlannedMatchesUnplannedAcrossEngines) {
@@ -261,21 +260,6 @@ TEST(MemoryPlanFuzz, PlannedMatchesUnplannedAcrossEngines) {
       ASSERT_TRUE(bit_equal(ref, planned[0]))
           << "planned tape diverges at seed " << c << " rep " << rep << ":\n"
           << fc.gm->graph().to_string();
-    }
-
-    for (int threads : {1, 2, 8}) {
-      fx::ExecutorOptions eo;
-      eo.num_threads = threads;
-      eo.use_plan = true;
-      fx::ParallelExecutor ex(*fc.gm, eo);
-      for (int rep = 0; rep < 2; ++rep) {
-        const std::vector<RtValue> par = ex.run(fc.inputs);
-        ASSERT_EQ(par.size(), 1u);
-        ASSERT_TRUE(bit_equal(ref, par[0]))
-            << "planned parallel diverges at seed " << c << " threads "
-            << threads << " rep " << rep << ":\n"
-            << fc.gm->graph().to_string();
-      }
     }
 
     // The installed plan must satisfy its own soundness rule.
@@ -319,26 +303,6 @@ TEST(MemoryPlan, ShapeChangeTriggersTransparentReplan) {
   const std::vector<RtValue> small_in{RtValue(small)};
   const RtValue sref = fx::Interpreter(gm).run(small_in);
   EXPECT_TRUE(bit_equal(sref, gm.run_planned(small_in).front()));
-  EXPECT_TRUE(bit_equal(sref, gm.run_planned_parallel(small_in, 2).front()));
-}
-
-TEST(MemoryPlan, PlannedParallelExecutorRejectsContractViolations) {
-  FuzzCase fc = chain_case();
-  passes::compile_planned(*fc.gm, as_tensors(fc.inputs));
-  fx::ExecutorOptions eo;
-  eo.num_threads = 2;
-  eo.use_plan = true;
-  fx::ParallelExecutor ex(*fc.gm, eo);
-  const std::vector<RtValue> wrong{RtValue(Tensor::randn({8, 8}))};
-  try {
-    ex.run(wrong);
-    FAIL() << "expected ExecError{GuardViolation}";
-  } catch (const ExecError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::GuardViolation);
-  }
-  // The module-level entry point re-plans instead of throwing.
-  const RtValue ref = fx::Interpreter(*fc.gm).run(wrong);
-  EXPECT_TRUE(bit_equal(ref, fc.gm->run_planned_parallel(wrong, 2).front()));
 }
 
 TEST(MemoryPlan, RecompileClearsPlanAndReplannerRestoresIt) {

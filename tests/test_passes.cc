@@ -12,6 +12,7 @@
 #include "passes/flops.h"
 #include "passes/fuse_conv_bn.h"
 #include "passes/graph_drawer.h"
+#include "passes/memory_planner.h"
 #include "passes/shape_prop.h"
 #include "passes/symbolic_shapes.h"
 #include "tensor/ops.h"
@@ -87,6 +88,17 @@ TEST(Flops, MissingShapeMetaIsSurfacedNotSilentZero) {
       static_cast<const fx::GraphModule&>(*gm));
   EXPECT_TRUE(clean.unmeasured.empty());
   EXPECT_EQ(clean.to_table().find("missing shape meta"), std::string::npos);
+}
+
+// estimate_cost(gm, inputs) describes `inputs`, not the shapes of whatever
+// last wrote the graph's meta (a plan-cache miss re-infers it at its own).
+TEST(Flops, EstimateCostUsesTheGivenInputsAfterAPlanCacheMiss) {
+  auto gm = fx::symbolic_trace(nn::models::resnet18(8, 10));
+  const Tensor x8 = Tensor::randn({8, 3, 32, 32});
+  passes::compile_planned(*gm, {x8});
+  const double at8 = passes::estimate_cost(*gm, {x8}).total_flops;
+  gm->run_planned(Tensor::randn({1, 3, 32, 32}));  // miss: meta at batch 1
+  EXPECT_EQ(passes::estimate_cost(*gm, {x8}).total_flops, at8);
 }
 
 TEST(Flops, RooflineEstimate) {

@@ -1,10 +1,9 @@
 // Guard-keyed multi-plan cache: TorchProbe-style shape-fuzz harness plus
 // targeted unit/concurrency coverage. The fuzz runs ~150 seeded random DAGs,
 // each over a randomized shape sequence (growing / shrinking / alternating
-// batch dims, rank changes, repeated hot shapes), through the interpreter,
-// the cached-planned tape, and planned-parallel x{1,2,8}, asserting
-// bit-equality everywhere and hit/miss/evict/replan accounting against a
-// reference LRU model. Concurrency tests race mixed-shape run_planned calls
+// batch dims, rank changes, repeated hot shapes), through the interpreter
+// and the cached-planned tape, asserting bit-equality everywhere and
+// hit/miss/evict/replan accounting against a reference LRU model. Concurrency tests race mixed-shape run_planned calls
 // against cache eviction and capacity churn (the TSan leg of
 // scripts/check.sh), and pin the PR 5 regression that a plan installed by
 // one thread is never observed half-initialized by another. All randomness
@@ -21,7 +20,6 @@
 #include "analysis/verifier.h"
 #include "core/interpreter.h"
 #include "core/memory_plan.h"
-#include "core/parallel_executor.h"
 #include "core/plan_cache.h"
 #include "passes/memory_planner.h"
 #include "profile/profiler.h"
@@ -379,8 +377,8 @@ TEST(PlanCache, EvictedEntryStaysRunnableThroughItsSharedPtr) {
 
 // --------------------------------------------------------------------------
 // TorchProbe-style shape fuzz: ~150 DAGs x randomized shape sequences
-// through interpreter vs cached-planned tape vs parallel x{1,2,8}, with the
-// cache's accounting checked against the reference LRU model per lookup.
+// through interpreter vs cached-planned tape, with the cache's accounting
+// checked against the reference LRU model per lookup.
 // --------------------------------------------------------------------------
 
 TEST(PlanCacheFuzz, ShapeSequencesBitEqualAcrossEnginesWithModelAccounting) {
@@ -412,16 +410,6 @@ TEST(PlanCacheFuzz, ShapeSequencesBitEqualAcrossEnginesWithModelAccounting) {
           << "cached-planned tape diverges at seed " << c << " step " << step
           << " shape " << shape_str(seq[step]) << ":\n"
           << fc.gm->graph().to_string();
-
-      for (const int threads : {1, 2, 8}) {
-        const std::vector<RtValue> par =
-            fc.gm->run_planned_parallel(in, threads);
-        model.lookup(cache->signature_of(in));
-        ASSERT_EQ(par.size(), 1u);
-        ASSERT_TRUE(bit_equal(ref, par[0]))
-            << "planned parallel diverges at seed " << c << " step " << step
-            << " threads " << threads << " shape " << shape_str(seq[step]);
-      }
     }
 
     // Accounting must track the reference model exactly.
@@ -471,8 +459,6 @@ TEST(PlanCacheBucketing, BatchBucketSharesOneEntryBitEqual) {
     const RtValue ref = fx::Interpreter(*fc.gm).run(in);
     EXPECT_TRUE(bit_equal(ref, fc.gm->run_planned(in).front()))
         << "batch " << bs;
-    EXPECT_TRUE(bit_equal(ref, fc.gm->run_planned_parallel(in, 2).front()))
-        << "batch " << bs;
   }
   const fx::PlanCacheStats s = cache->stats();
   EXPECT_EQ(s.entries, 2u) << "six batch sizes should collapse to 2 buckets";
@@ -512,9 +498,7 @@ TEST(PlanCacheConcurrency, MixedShapeRunsRaceEvictionAndCapacityChurn) {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t s =
             static_cast<std::size_t>(t + i) % shapes.size();
-        const std::vector<RtValue> out =
-            (i % 4 == 3) ? fc.gm->run_planned_parallel(ins[s], 2)
-                         : fc.gm->run_planned(ins[s]);
+        const std::vector<RtValue> out = fc.gm->run_planned(ins[s]);
         if (out.size() != 1 || !bit_equal(refs[s], out[0])) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }

@@ -1,10 +1,8 @@
-// Profiling subsystem: hook ordering on all three engines (including the
-// ParallelExecutor at 1/2/8 threads — run under TSan by scripts/check.sh),
-// observation-only bit-equality, chrome-trace schema, cost-model join,
+// Profiling subsystem: hook ordering on both engines, observation-only
+// bit-equality, chrome-trace schema, cost-model join,
 // allocator counters, and the Interpreter's last-use intermediate release.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -13,7 +11,6 @@
 
 #include "core/interpreter.h"
 #include "core/op_registry.h"
-#include "core/parallel_executor.h"
 #include "core/tracer.h"
 #include "nn/models/mlp.h"
 #include "profile/profiler.h"
@@ -51,8 +48,7 @@ std::shared_ptr<GraphModule> diamond_gm() {
 }
 
 // --------------------------------------------------------------------------
-// ExecHooks contract: strict begin/end bracketing. Thread-safe so the same
-// recorder validates the ParallelExecutor (TSan guards the claim).
+// ExecHooks contract: strict begin/end bracketing, tracked per thread.
 // --------------------------------------------------------------------------
 
 class RecordingHooks : public fx::ExecHooks {
@@ -138,28 +134,7 @@ TEST(ExecHooks, TapeBracketsEveryInstruction) {
   EXPECT_EQ(rec.run_ends(), 1);
 }
 
-TEST(ExecHooks, ParallelExecutorBracketsAcrossThreadCounts) {
-  auto gm = diamond_gm();
-  const std::vector<RtValue> in{RtValue(Tensor::randn({8, 8}))};
-  const std::size_t n = gm->compiled_graph().instrs().size();
-  for (int threads : {1, 2, 8}) {
-    RecordingHooks rec;
-    fx::ExecutorOptions opts;
-    opts.num_threads = threads;
-    opts.hooks = &rec;
-    fx::ParallelExecutor ex(*gm, opts);
-    for (int run = 0; run < 3; ++run) ex.run(in);
-    EXPECT_EQ(rec.run_begins(), 3) << threads << " threads";
-    EXPECT_EQ(rec.run_ends(), 3) << threads << " threads";
-    EXPECT_EQ(rec.begins(), static_cast<int>(3 * n)) << threads << " threads";
-    EXPECT_EQ(rec.ends(), static_cast<int>(3 * n)) << threads << " threads";
-    for (const auto& [node, calls] : rec.per_node()) {
-      EXPECT_EQ(calls, 3) << threads << " threads";
-    }
-  }
-}
-
-TEST(ExecHooks, ParallelHookSeesExceptionRunsEnd) {
+TEST(ExecHooks, TapeHookSeesExceptionRunsEnd) {
   // Even when a node throws, on_run_end still fires and no brackets nest.
   static bool once = [] {
     fx::OpRegistry::functions().add(
@@ -176,11 +151,8 @@ TEST(ExecHooks, ParallelHookSeesExceptionRunsEnd) {
   GraphModule gm(nullptr, std::move(g), "Boom");
   gm.recompile();
   RecordingHooks rec;
-  fx::ExecutorOptions opts;
-  opts.num_threads = 2;
-  opts.hooks = &rec;
-  fx::ParallelExecutor ex(gm, opts);
-  EXPECT_THROW(ex.run({RtValue(Tensor::randn({4, 4}))}), std::runtime_error);
+  EXPECT_THROW(gm.compiled_graph().run({RtValue(Tensor::randn({4, 4}))}, &rec),
+               std::runtime_error);
   EXPECT_EQ(rec.run_begins(), 1);
   EXPECT_EQ(rec.run_ends(), 1) << "on_run_end must fire for aborted runs";
   // The throwing node opened but never closed.
@@ -207,12 +179,7 @@ TEST(Profiler, OutputsBitIdenticalToUnprofiledOnAllEngines) {
   profile::Profiler prof(*gm);
   EXPECT_TRUE(bit_equal(ref, fx::rt_tensor(prof.run_interpreter(in))));
   EXPECT_TRUE(bit_equal(ref, fx::rt_tensor(prof.run_tape(in).front())));
-  for (int threads : {1, 2, 8}) {
-    EXPECT_TRUE(
-        bit_equal(ref, fx::rt_tensor(prof.run_parallel(in, threads).front())))
-        << threads << " threads";
-  }
-  EXPECT_EQ(prof.runs(), 5u);
+  EXPECT_EQ(prof.runs(), 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -327,12 +294,12 @@ std::size_t count_occurrences(const std::string& s, const std::string& sub) {
   return n;
 }
 
-TEST(ChromeTrace, SchemaHoldsForSerialAndParallelRuns) {
+TEST(ChromeTrace, SchemaHoldsAcrossRuns) {
   auto gm = diamond_gm();
   profile::Profiler prof(*gm);
   const std::vector<RtValue> in{RtValue(Tensor::randn({16, 16}))};
   prof.run_tape(in);
-  prof.run_parallel(in, 2);
+  prof.run_tape(in);
 
   const std::string json = prof.chrome_trace_json();
   EXPECT_TRUE(json_balanced(json)) << json;
@@ -403,30 +370,6 @@ TEST(SummaryAndReport, ContainExpectedFieldsAndNodes) {
   }
   // top_k truncation note appears when the graph is larger than top_k.
   EXPECT_NE(prof.text_report(2).find("top 2 of"), std::string::npos);
-}
-
-TEST(ChromeTrace, ParallelWorkersGetOwnLanes) {
-  // A wide graph run with >1 worker; lanes are per executing thread. We
-  // can't force overlap on a 1-core container, but lane indices must stay
-  // consistent with events and never exceed the worker count + caller.
-  auto g = std::make_unique<Graph>();
-  Node* x = g->placeholder("x");
-  std::vector<Node*> heads;
-  for (int b = 0; b < 6; ++b) {
-    heads.push_back(g->call_function("matmul", {x, x}));
-  }
-  Node* acc = heads[0];
-  for (std::size_t i = 1; i < heads.size(); ++i) {
-    acc = g->call_function("add", {acc, heads[i]});
-  }
-  g->output(acc);
-  GraphModule gm(nullptr, std::move(g), "Wide");
-  gm.recompile();
-  profile::Profiler prof(gm);
-  prof.run_parallel({RtValue(Tensor::randn({48, 48}))}, 4);
-  EXPECT_GE(prof.num_lanes(), 1);
-  EXPECT_LE(prof.num_lanes(), 5);
-  EXPECT_EQ(prof.events().size(), gm.compiled_graph().instrs().size());
 }
 
 // --------------------------------------------------------------------------

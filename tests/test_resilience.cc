@@ -2,9 +2,8 @@
 // cross-engine arity parity, input guards (strict + permissive refresh), the
 // guards.coverage verifier rule, systematic differential fault injection
 // (throw / NaN poison / allocation ceiling at every compute node, asserting
-// identical ExecError code + node across all three engines), deterministic
-// first-failure reporting in the parallel engine, the run_resilient fallback
-// ladder, cooperative cancellation + deadlines, and anomaly provenance.
+// identical ExecError code + node across both engines), the run_resilient
+// fallback ladder, and anomaly provenance.
 // All randomness is seeded (runtime/rng.h) so failures replay.
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "analysis/verifier.h"
 #include "core/interpreter.h"
 #include "core/op_registry.h"
-#include "core/parallel_executor.h"
 #include "passes/shape_prop.h"
 #include "resilience/anomaly.h"
 #include "resilience/exec_error.h"
@@ -42,7 +40,7 @@ using resilience::FaultKind;
 using resilience::GuardMode;
 
 // --------------------------------------------------------------------------
-// Shared helpers (same idiom as test_parallel_exec.cc).
+// Shared helpers.
 // --------------------------------------------------------------------------
 
 bool bit_equal(const Tensor& a, const Tensor& b) {
@@ -129,22 +127,12 @@ FuzzCase random_dag(std::uint64_t seed) {
   return fc;
 }
 
-// Custom ops this binary leans on: two distinguishable throwers (for the
-// deterministic-first-failure test) and a sleeper (for deadlines).
+// Custom op this binary leans on: a node that always throws.
 void ensure_test_ops() {
   static bool once = [] {
     fx::OpRegistry::functions().add(
         {"fxres_throw_a", {"x"}, [](const std::vector<RtValue>&) -> RtValue {
            throw std::runtime_error("fxres A fired");
-         }});
-    fx::OpRegistry::functions().add(
-        {"fxres_throw_b", {"x"}, [](const std::vector<RtValue>&) -> RtValue {
-           throw std::runtime_error("fxres B fired");
-         }});
-    fx::OpRegistry::functions().add(
-        {"fxres_sleep", {"x"}, [](const std::vector<RtValue>& a) -> RtValue {
-           std::this_thread::sleep_for(std::chrono::milliseconds(5));
-           return a.at(0);
          }});
     return true;
   }();
@@ -159,17 +147,10 @@ bool contains(const std::string& haystack, const std::string& needle) {
 // One harness to run any engine and capture success or a structured error.
 // --------------------------------------------------------------------------
 
-enum class Which { Interp, Tape, Par1, Par2, Par8 };
+enum class Which { Interp, Tape };
 
 const char* which_name(Which w) {
-  switch (w) {
-    case Which::Interp: return "interpreter";
-    case Which::Tape: return "tape";
-    case Which::Par1: return "parallel/1";
-    case Which::Par2: return "parallel/2";
-    case Which::Par8: return "parallel/8";
-  }
-  return "?";
+  return w == Which::Interp ? "interpreter" : "tape";
 }
 
 struct Outcome {
@@ -195,17 +176,6 @@ Outcome run_engine(Which w, GraphModule& gm, const std::vector<RtValue>& in,
       }
       case Which::Tape: {
         auto outs = gm.compiled_graph().run(in, hooks);
-        if (!outs.empty()) o.out = outs[0];
-        break;
-      }
-      case Which::Par1:
-      case Which::Par2:
-      case Which::Par8: {
-        fx::ExecutorOptions eo;
-        eo.num_threads = w == Which::Par1 ? 1 : (w == Which::Par2 ? 2 : 8);
-        eo.hooks = hooks;
-        fx::ParallelExecutor ex(gm, eo);
-        auto outs = ex.run(in);
         if (!outs.empty()) o.out = outs[0];
         break;
       }
@@ -251,12 +221,12 @@ TEST(ExecError, RenderAndAccessors) {
 TEST(ExecError, AnnotationIsSetIfUnset) {
   ExecError e(ErrorCode::NumericAnomaly, "nan");
   e.with_node_info("inner", "call_function", "sigmoid");
-  e.with_engine(Engine::Parallel);
+  e.with_engine(Engine::Tape);
   // Outer layers must not clobber the more precise inner provenance.
   e.with_node_info("outer", "output", "");
   e.with_engine(Engine::Interpreter);
   EXPECT_EQ(e.node_name(), "inner");
-  EXPECT_EQ(e.engine(), Engine::Parallel);
+  EXPECT_EQ(e.engine(), Engine::Tape);
   e.with_env({"a"});
   e.with_env({"b", "c"});
   ASSERT_EQ(e.live_env().size(), 1u);
@@ -280,7 +250,7 @@ TEST(ExecError, InputErrorClassification) {
 }
 
 // --------------------------------------------------------------------------
-// Satellite: arity mismatch parity across all three engines.
+// Satellite: arity mismatch parity across both engines.
 // --------------------------------------------------------------------------
 
 TEST(ArityParity, SameCodeAndDetailAcrossEngines) {
@@ -296,14 +266,11 @@ TEST(ArityParity, SameCodeAndDetailAcrossEngines) {
   three.emplace_back(Tensor::randn({kSide, kSide}));
   three.emplace_back(Tensor::randn({kSide, kSide}));
 
-  const Engine expect_engine[] = {Engine::Interpreter, Engine::Tape,
-                                  Engine::Parallel, Engine::Parallel,
-                                  Engine::Parallel};
-  const Which engines[] = {Which::Interp, Which::Tape, Which::Par1,
-                           Which::Par2, Which::Par8};
+  const Engine expect_engine[] = {Engine::Interpreter, Engine::Tape};
+  const Which engines[] = {Which::Interp, Which::Tape};
   for (const auto& bad : {one, three}) {
     std::string first_detail;
-    for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       const Outcome o = run_engine(engines[i], gm, bad, nullptr);
       ASSERT_FALSE(o.ok) << which_name(engines[i]);
       EXPECT_EQ(o.code, ErrorCode::ArityMismatch) << which_name(engines[i]);
@@ -335,9 +302,9 @@ TEST(GoldenMessages, EveryEngineNamesNodeOpTargetAndEngine) {
   gm.recompile();
   const std::vector<RtValue> in = {RtValue(Tensor::randn({kSide, kSide}))};
 
-  const char* expect_engine[] = {"interpreter", "tape", "parallel"};
-  const Which engines[] = {Which::Interp, Which::Tape, Which::Par2};
-  for (std::size_t i = 0; i < 3; ++i) {
+  const char* expect_engine[] = {"interpreter", "tape"};
+  const Which engines[] = {Which::Interp, Which::Tape};
+  for (std::size_t i = 0; i < 2; ++i) {
     const Outcome o = run_engine(engines[i], gm, in, nullptr);
     ASSERT_FALSE(o.ok) << which_name(engines[i]);
     EXPECT_EQ(o.code, ErrorCode::NodeFailure);
@@ -501,15 +468,13 @@ TEST(GuardsCoverageRule, FlagsGuardForMissingPlaceholder) {
 
 // --------------------------------------------------------------------------
 // Tentpole: differential fault-injection fuzz. For every compute node of a
-// seeded random DAG and every fault kind, all five engine configurations
-// must agree: either everyone succeeds bit-identically, or everyone fails
+// seeded random DAG and every fault kind, both engines must agree: either everyone succeeds bit-identically, or everyone fails
 // with the same ExecError code at the same node.
 // --------------------------------------------------------------------------
 
 TEST(FaultFuzz, AllEnginesFailIdentically) {
   constexpr int kCases = 8;
-  const Which engines[] = {Which::Interp, Which::Tape, Which::Par1,
-                           Which::Par2, Which::Par8};
+  const Which engines[] = {Which::Interp, Which::Tape};
   int injected_runs = 0;
   for (int c = 0; c < kCases; ++c) {
     FuzzCase fc = random_dag(0xBAD5EED + static_cast<std::uint64_t>(c));
@@ -582,41 +547,6 @@ TEST(FaultFuzz, AllEnginesFailIdentically) {
 }
 
 // --------------------------------------------------------------------------
-// Satellite: deterministic error propagation in the parallel engine. With
-// two independently-failing branches, the reported node is the first one in
-// tape (schedule) order — for any thread count, every time.
-// --------------------------------------------------------------------------
-
-TEST(ParallelDeterminism, FirstFailingNodeInScheduleOrder) {
-  ensure_test_ops();
-  auto g = std::make_unique<Graph>();
-  Node* x = g->placeholder("x");
-  Node* b1 = g->call_function("fxres_throw_a", {x});
-  Node* b2 = g->call_function("fxres_throw_b", {x});
-  g->output(g->call_function("add", {b1, b2}));
-  GraphModule gm(nullptr, std::move(g), "TwoBoom");
-  gm.recompile();
-  const std::vector<RtValue> in = {RtValue(Tensor::randn({kSide, kSide}))};
-
-  // Reference: the serial engines fail at b1 (earlier in tape order).
-  const Outcome serial = run_engine(Which::Tape, gm, in, nullptr);
-  ASSERT_FALSE(serial.ok);
-  EXPECT_EQ(serial.node, b1->name());
-
-  for (Which w : {Which::Par1, Which::Par2, Which::Par8}) {
-    for (int rep = 0; rep < 20; ++rep) {
-      const Outcome o = run_engine(w, gm, in, nullptr);
-      ASSERT_FALSE(o.ok);
-      EXPECT_EQ(o.code, ErrorCode::NodeFailure);
-      EXPECT_EQ(o.node, b1->name())
-          << which_name(w) << " rep " << rep
-          << ": nondeterministic error choice: " << o.what;
-      EXPECT_TRUE(contains(o.detail, "fxres A fired")) << o.what;
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
 // Tentpole: the run_resilient fallback ladder.
 // --------------------------------------------------------------------------
 
@@ -624,8 +554,8 @@ TEST(RunResilient, RecoversFromEngineLocalFaultBitIdentically) {
   FuzzCase fc = random_dag(2024);
   const RtValue clean = fx::Interpreter(*fc.gm).run(fc.inputs);
 
-  // Find a compute node and make it fail exactly once: the parallel rung
-  // absorbs the fault, the tape rung recovers.
+  // Find a compute node and make it fail exactly once: the tape rung
+  // absorbs the fault, the interpreter rung recovers.
   Node* target = nullptr;
   for (Node* n : fc.gm->graph().nodes()) {
     if (n->op() == fx::Opcode::CallFunction) target = n;
@@ -643,13 +573,13 @@ TEST(RunResilient, RecoversFromEngineLocalFaultBitIdentically) {
   EXPECT_EQ(inj.fires(), 1);
 
   ASSERT_EQ(report.attempts.size(), 2u);
-  EXPECT_EQ(report.attempts[0].engine, Engine::Parallel);
+  EXPECT_EQ(report.attempts[0].engine, Engine::Tape);
   EXPECT_FALSE(report.attempts[0].ok);
   EXPECT_EQ(report.attempts[0].code, ErrorCode::NodeFailure);
   EXPECT_TRUE(contains(report.attempts[0].error, target->name()));
-  EXPECT_EQ(report.attempts[1].engine, Engine::Tape);
+  EXPECT_EQ(report.attempts[1].engine, Engine::Interpreter);
   EXPECT_TRUE(report.attempts[1].ok);
-  EXPECT_EQ(report.succeeded, Engine::Tape);
+  EXPECT_EQ(report.succeeded, Engine::Interpreter);
 }
 
 TEST(RunResilient, ExhaustedLadderRethrowsWithFullReport) {
@@ -667,10 +597,9 @@ TEST(RunResilient, ExhaustedLadderRethrowsWithFullReport) {
   } catch (const ExecError& e) {
     EXPECT_EQ(e.code(), ErrorCode::NodeFailure);
   }
-  ASSERT_EQ(report.attempts.size(), 3u);
-  EXPECT_EQ(report.attempts[0].engine, Engine::Parallel);
-  EXPECT_EQ(report.attempts[1].engine, Engine::Tape);
-  EXPECT_EQ(report.attempts[2].engine, Engine::Interpreter);
+  ASSERT_EQ(report.attempts.size(), 2u);
+  EXPECT_EQ(report.attempts[0].engine, Engine::Tape);
+  EXPECT_EQ(report.attempts[1].engine, Engine::Interpreter);
   for (const auto& a : report.attempts) {
     EXPECT_FALSE(a.ok);
     EXPECT_EQ(a.code, ErrorCode::NodeFailure);
@@ -720,7 +649,7 @@ TEST(RunResilient, GuardCheckCanBeDisabled) {
 TEST(RunResilient, AllEnginesDisabledThrows) {
   FuzzCase fc = random_dag(3);
   fx::ResilientOptions opts;
-  opts.try_parallel = opts.try_tape = opts.try_interpreter = false;
+  opts.try_tape = opts.try_interpreter = false;
   try {
     fc.gm->run_resilient(fc.inputs, opts);
     FAIL() << "expected an ExecError";
@@ -741,95 +670,8 @@ TEST(RunResilient, TensorConvenienceOverload) {
 }
 
 // --------------------------------------------------------------------------
-// Tentpole: cooperative cancellation and wall-clock deadlines in the
-// parallel engine.
-// --------------------------------------------------------------------------
-
-std::shared_ptr<GraphModule> sleepy_chain(int n_sleeps) {
-  ensure_test_ops();
-  auto g = std::make_unique<Graph>();
-  Node* cur = g->placeholder("x");
-  for (int i = 0; i < n_sleeps; ++i) {
-    cur = g->call_function("fxres_sleep", {cur});
-  }
-  g->output(cur);
-  auto gm = std::make_shared<GraphModule>(nullptr, std::move(g), "Sleepy");
-  gm->recompile();
-  return gm;
-}
-
-TEST(Cancellation, PresetTokenCancelsBeforeAnyNodeRuns) {
-  auto gm = sleepy_chain(3);
-  std::atomic<bool> token{true};
-  fx::ExecutorOptions eo;
-  eo.num_threads = 2;
-  eo.cancel = &token;
-  fx::ParallelExecutor ex(*gm, eo);
-  const std::vector<RtValue> in = {RtValue(Tensor::randn({kSide, kSide}))};
-  try {
-    ex.run(in);
-    FAIL() << "expected cancellation";
-  } catch (const ExecError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::Cancelled);
-    EXPECT_EQ(e.engine(), Engine::Parallel);
-  }
-  // Clearing the token makes the same executor usable again.
-  token.store(false);
-  EXPECT_NO_THROW(ex.run(in));
-}
-
-TEST(Cancellation, MidRunTokenStopsTheSchedule) {
-  auto gm = sleepy_chain(40);  // ~200ms serial chain; plenty of margin
-  std::atomic<bool> token{false};
-  fx::ExecutorOptions eo;
-  eo.num_threads = 2;
-  eo.cancel = &token;
-  fx::ParallelExecutor ex(*gm, eo);
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    token.store(true);
-  });
-  try {
-    ex.run({RtValue(Tensor::randn({kSide, kSide}))});
-    canceller.join();
-    FAIL() << "expected cancellation";
-  } catch (const ExecError& e) {
-    canceller.join();
-    EXPECT_EQ(e.code(), ErrorCode::Cancelled);
-    EXPECT_TRUE(contains(e.detail(), "cancelled after")) << e.what();
-  }
-}
-
-TEST(Deadline, ExpiryRaisesDeadlineExceeded) {
-  auto gm = sleepy_chain(20);  // ~100ms serial chain
-  fx::ExecutorOptions eo;
-  eo.num_threads = 2;
-  eo.deadline_seconds = 0.005;
-  fx::ParallelExecutor ex(*gm, eo);
-  try {
-    ex.run({RtValue(Tensor::randn({kSide, kSide}))});
-    FAIL() << "expected the deadline to expire";
-  } catch (const ExecError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::DeadlineExceeded);
-    EXPECT_EQ(e.engine(), Engine::Parallel);
-    EXPECT_TRUE(contains(e.detail(), "deadline")) << e.what();
-  }
-  // Without a deadline, the same module completes.
-  fx::ParallelExecutor ok(*gm, fx::ExecutorOptions{2, false});
-  EXPECT_NO_THROW(ok.run({RtValue(Tensor::randn({kSide, kSide}))}));
-}
-
-TEST(Deadline, GenerousDeadlineDoesNotFire) {
-  auto gm = sleepy_chain(2);
-  fx::ExecutorOptions eo;
-  eo.num_threads = 2;
-  eo.deadline_seconds = 30.0;
-  fx::ParallelExecutor ex(*gm, eo);
-  EXPECT_NO_THROW(ex.run({RtValue(Tensor::randn({kSide, kSide}))}));
-}
-
-// --------------------------------------------------------------------------
-// TaskGroup::wait_for — the primitive the watch loop is built on.
+// TaskGroup::wait_for — the primitive the serving batcher's watch loop is
+// built on.
 // --------------------------------------------------------------------------
 
 TEST(TaskGroupWaitFor, TimesOutThenQuiesces) {
@@ -968,7 +810,7 @@ TEST(AllocCeiling, MapsToExecErrorThroughTheEngines) {
   gm.recompile();
   const std::vector<RtValue> in = {RtValue(Tensor::randn({kSide, kSide}))};
 
-  for (Which w : {Which::Interp, Which::Tape, Which::Par2}) {
+  for (Which w : {Which::Interp, Which::Tape}) {
     FaultInjector inj(r, FaultKind::AllocLimit);
     const Outcome o = run_engine(w, gm, in, &inj);
     ASSERT_FALSE(o.ok) << which_name(w);

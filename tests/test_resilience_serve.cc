@@ -246,7 +246,6 @@ TEST(RetryPolicyUnit, ClassifiesRetryableCodes) {
   EXPECT_TRUE(RetryPolicy::retryable(ErrorCode::NodeFailure));
   EXPECT_TRUE(RetryPolicy::retryable(ErrorCode::AllocLimit));
   EXPECT_TRUE(RetryPolicy::retryable(ErrorCode::NumericAnomaly));
-  EXPECT_TRUE(RetryPolicy::retryable(ErrorCode::ScheduleError));
   EXPECT_TRUE(RetryPolicy::retryable(ErrorCode::Unknown));
   // Input errors and routing verdicts are never retried.
   EXPECT_FALSE(RetryPolicy::retryable(ErrorCode::ArityMismatch));
@@ -488,7 +487,6 @@ TEST(FaultInjection, AllocCeilingDoesNotLeakIntoNextRung) {
   fx::MultiHooks hooks({&alloc_inj, &throw_inj});
 
   fx::ResilientOptions opts;
-  opts.try_parallel = false;  // tape -> interpreter: deterministic ladder
   opts.hooks = &hooks;
   fx::ResilientReport report;
   const Tensor out = gm->run_resilient(x, opts, &report);

@@ -1,11 +1,15 @@
-// Runtime substrate tests: intra-op parallelism, deterministic RNG, and
-// trial statistics used by the benchmark harnesses.
+// Runtime substrate tests: intra-op parallelism, inter-op task groups and
+// thread-pool shutdown, deterministic RNG, and trial statistics used by the
+// benchmark harnesses.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "runtime/rng.h"
 #include "runtime/thread_pool.h"
@@ -242,6 +246,131 @@ TEST(TaskGroupDrain, DrainWithoutErrorReturnsNull) {
 
 TEST(TaskGroupDrain, NullPoolHandleThrows) {
   EXPECT_THROW(TaskGroup(std::shared_ptr<ThreadPool>()), std::invalid_argument);
+}
+
+// --------------------------------------------------------------------------
+// TaskGroup semantics.
+// --------------------------------------------------------------------------
+
+TEST(TaskGroup, WaitsForAllTasks) {
+  rt::ThreadPool pool(4);
+  rt::TaskGroup group(pool);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 100; ++i) {
+    group.run([&] { done.fetch_add(1); });
+  }
+  group.wait();
+  EXPECT_EQ(done.load(), 100);
+  // wait() is re-callable and groups are reusable after quiescing.
+  group.run([&] { done.fetch_add(1); });
+  group.wait();
+  EXPECT_EQ(done.load(), 101);
+}
+
+TEST(TaskGroup, TasksCanSpawnTasks) {
+  rt::ThreadPool pool(2);
+  rt::TaskGroup group(pool);
+  std::atomic<int> done{0};
+  // Binary fan-out from inside workers: 1 + 2 + 4 + 8 = 15 tasks.
+  std::function<void(int)> spawn = [&](int depth) {
+    done.fetch_add(1);
+    if (depth < 3) {
+      group.run([&, depth] { spawn(depth + 1); });
+      group.run([&, depth] { spawn(depth + 1); });
+    }
+  };
+  group.run([&] { spawn(0); });
+  group.wait();
+  EXPECT_EQ(done.load(), 15);
+}
+
+TEST(TaskGroup, FirstWorkerExceptionPropagates) {
+  rt::ThreadPool pool(4);
+  rt::TaskGroup group(pool);
+  std::atomic<int> ran{0};
+  group.run([&] { ran.fetch_add(1); });
+  group.run([] { throw std::invalid_argument("worker boom"); });
+  group.run([&] { ran.fetch_add(1); });
+  try {
+    group.wait();
+    FAIL() << "expected worker exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "worker boom");
+  }
+  EXPECT_TRUE(group.failed());
+  EXPECT_EQ(ran.load(), 2) << "non-throwing tasks still complete";
+}
+
+TEST(TaskGroup, ResizeWhileGroupInFlight) {
+  const int before = rt::get_num_interop_threads();
+  // Handle idiom: pins the current pool so the mid-flight resize below can
+  // never destroy it underneath the group's queued tasks.
+  rt::TaskGroup group(rt::ThreadPool::inter_op_handle());
+  std::atomic<int> done{0};
+  for (int i = 0; i < 32; ++i) {
+    group.run([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      done.fetch_add(1);
+    });
+  }
+  // Rebuild the global pool mid-flight: the old pool's destructor drains its
+  // queue before joining, so every task still runs exactly once.
+  rt::set_num_interop_threads(before + 1);
+  rt::ThreadPool::inter_op();
+  group.wait();
+  EXPECT_EQ(done.load(), 32);
+  rt::set_num_interop_threads(before);
+}
+
+// --------------------------------------------------------------------------
+// ThreadPool shutdown contract: work is never silently dropped.
+// --------------------------------------------------------------------------
+
+TEST(ThreadPoolShutdown, SubmitAfterStopRunsInline) {
+  rt::ThreadPool pool(2);
+  pool.stop();
+  EXPECT_TRUE(pool.stopped());
+  const auto caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  bool ran = false;
+  pool.submit([&] {
+    ran = true;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_TRUE(ran) << "submit after stop() must not drop the task";
+  EXPECT_EQ(ran_on, caller);
+  pool.stop();  // idempotent
+}
+
+TEST(ThreadPoolShutdown, QueuedTasksDrainOnStop) {
+  std::atomic<int> done{0};
+  {
+    rt::ThreadPool pool(1);
+    for (int i = 0; i < 16; ++i) {
+      pool.submit([&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        done.fetch_add(1);
+      });
+    }
+  }  // destructor stops: every queued task must have run
+  EXPECT_EQ(done.load(), 16);
+}
+
+TEST(ThreadPoolShutdown, ZeroWorkerPoolRunsInline) {
+  rt::ThreadPool pool(0);
+  bool ran = false;
+  pool.submit([&] { ran = true; });
+  EXPECT_TRUE(ran);
+}
+
+TEST(TaskGroup, OnStoppedPoolRunsInlineAndCompletes) {
+  rt::ThreadPool pool(2);
+  pool.stop();
+  rt::TaskGroup group(pool);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 8; ++i) group.run([&] { done.fetch_add(1); });
+  group.wait();
+  EXPECT_EQ(done.load(), 8);
 }
 
 }  // namespace

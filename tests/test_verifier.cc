@@ -343,23 +343,22 @@ TEST(Verifier, CustomRulesExtendTheRegistry) {
   EXPECT_FALSE(defaults.verify(g2).has("structure.dead-code"));
 }
 
-// --- schedule rule ---------------------------------------------------------
+// --- compiled modules ------------------------------------------------------
 
-TEST(Verifier, ScheduleCoversCompiledTape) {
+TEST(Verifier, CompiledModuleVerifiesClean) {
   auto gm = fx::symbolic_trace(nn::models::mlp({4, 8, 2}));
   gm->recompile();
   const Report rep = analysis::verify(*gm);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
-  EXPECT_FALSE(rep.has("schedule.coverage"));
 }
 
-TEST(Verifier, ScheduleRuleSkipsUncompiledModules) {
+TEST(Verifier, UncompiledModuleVerifiesWithoutTape) {
   // A GraphModule constructed directly (no recompile yet) has no tape; the
-  // rule must skip, not throw.
+  // tape and plan rules must skip, not throw.
   fx::GraphModule gm(nullptr, clean_graph(), "Raw");
   ASSERT_FALSE(gm.compiled());
   const Report rep = analysis::verify(gm);
-  EXPECT_FALSE(rep.has("schedule.coverage"));
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
 // --- lint() agreement ------------------------------------------------------
