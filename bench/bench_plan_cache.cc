@@ -132,7 +132,7 @@ int main() {
                     std::to_string(stats.misses),
                     std::to_string(stats.evictions), bench::fmt(hit_rate, 4)});
 
-  // --- leg 2: hit-path overhead vs the raw installed plan ------------------
+  // --- leg 2: hit-path overhead vs the raw cached plan ---------------------
   // Raw = the planned tape with the plan and a leased arena in hand (zero
   // lookup work); hit = the full run_planned path (signature render + LRU
   // touch + guard check + arena lease). The delta is the cache's toll.
@@ -152,7 +152,7 @@ int main() {
 
   bench::print_header("A10: hot-shape per-request wall clock (sec)",
                       {"path", "median", "stdev", "overhead"});
-  bench::print_row({"raw installed plan", bench::fmt(hit_vs_raw.median_a, 6),
+  bench::print_row({"raw cached plan", bench::fmt(hit_vs_raw.median_a, 6),
                     bench::fmt(hit_vs_raw.a.stdev, 6), "--"});
   bench::print_row({"cache hit", bench::fmt(hit_vs_raw.median_b, 6),
                     bench::fmt(hit_vs_raw.b.stdev, 6),

@@ -12,7 +12,8 @@
 # its own build tree. The normal and ASan steps also smoke the fxprof CLI on
 # a traced ResNet-18 (trace + summary must be written and the profiled
 # output must bit-match the unprofiled run — fxprof exits nonzero if not).
-# Fails on the first red step.
+# The normal step also builds the repository benchmark (perfbench/) and runs
+# each of its workloads once. Fails on the first red step.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -50,6 +51,17 @@ echo "-- E3/E4 shape checks (build/) --"
 echo "-- E1/E2/A10 gates (build/) --"
 (cd "$repo/build" && ./bench/bench_ir_complexity &&
   ./bench/bench_quantization && ./bench/bench_plan_cache)
+# The repository benchmark (perfbench/) compiles against the planner and
+# plan-cache APIs: build it from this tree, run its self-test, then each
+# workload once. A build break or a wrong output exits non-zero.
+echo "-- perfbench build + smoke (build/perfbench) --"
+cmake -S "$repo/perfbench" -B "$repo/build/perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$repo/build/perfbench" -j "$jobs"
+"$repo/build/perfbench/perfbench_selftest"
+for workload in serve_mlp resnet50_infer compile_shapes; do
+  "$repo/build/perfbench/perfbench" --workload "$workload" --seed 1 \
+    --seconds 2 --trace 0
+done
 
 # clang-tidy (bugprone / performance / concurrency, config in .clang-tidy)
 # over the analysis + passes layers. Gated: the CI container does not ship
@@ -101,8 +113,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 "$repo/build-tsan/tests/test_dataflow"
 "$repo/build-tsan/tests/test_constant_fold"
 # Multi-plan cache under TSan: mixed-shape planned runs race LRU eviction,
-# capacity churn, and clear() on the shared cache, and the legacy
-# single-plan path races its replanner from two shapes at once.
+# capacity churn, and clear() on the shared cache, and concurrent misses at
+# two shapes race a guard-checked run at the compile shape.
 "$repo/build-tsan/tests/test_plan_cache"
 # Serving layer under TSan: the batcher thread races client submitters,
 # cancellation flags, and mid-run deadline sweeps; the fuzz test runs two

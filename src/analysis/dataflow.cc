@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/functional.h"
+#include "core/json.h"
 #include "core/op_registry.h"
 #include "nn/layers.h"
 #include "tensor/shape.h"
@@ -14,6 +15,7 @@ namespace fxcpp::analysis {
 
 using fx::Graph;
 using fx::GraphModule;
+using fx::json_escape;
 using fx::Node;
 using fx::Opcode;
 using fx::OpInfo;
@@ -190,7 +192,6 @@ AliasSummary alias_summary(const Graph& g, const GraphModule* gm) {
   s.escaped.assign(n, 0);
   s.bases.assign(n, {});
   s.last_use.resize(n);
-  s.readers.assign(n, {});
 
   for (std::size_t i = 0; i < n; ++i) {
     const AliasFact& f = facts.at(s.order[i]);
@@ -204,7 +205,7 @@ AliasSummary alias_summary(const Graph& g, const GraphModule* gm) {
   }
 
   // Forward walk: every read through an alias set extends the base's
-  // lifetime and records the reader; reads by Output mark escapes. This is
+  // lifetime; reads by Output mark escapes. This is
   // the planner's former Pass 1, in node coordinates.
   for (std::size_t i = 0; i < n; ++i) {
     const Node* reader = s.order[i];
@@ -216,10 +217,6 @@ AliasSummary alias_summary(const Graph& g, const GraphModule* gm) {
         if (it == s.index.end()) continue;
         const auto bi = static_cast<std::size_t>(it->second);
         s.last_use[bi] = std::max(s.last_use[bi], static_cast<int>(i));
-        if (s.readers[bi].empty() ||
-            s.readers[bi].back() != static_cast<int>(i)) {
-          s.readers[bi].push_back(static_cast<int>(i));
-        }
         if (is_output) s.escaped[bi] = 1;
       }
     }
@@ -288,20 +285,6 @@ std::vector<const Node*> dead_nodes(const Graph& g) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string meta_sym_shape(const Node* n) {
   if (n->has_meta("sym_shape")) {

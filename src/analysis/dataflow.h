@@ -167,7 +167,7 @@ class AliasAnalysis : public DataflowAnalysis<AliasFact> {
 // Alias facts flattened to tape coordinates: entry i describes the i-th
 // non-placeholder node in graph order, which recompile() lowers to tape
 // instruction i. This is exactly the planner's former Pass 1 (base sets,
-// escape, alias-extended lifetimes, reader lists), now derived from
+// escape, alias-extended lifetimes), now derived from
 // AliasAnalysis so plan_tape and the analysis cannot diverge.
 struct AliasSummary {
   std::vector<const fx::Node*> order;  // entry -> node (tape order)
@@ -177,7 +177,6 @@ struct AliasSummary {
   std::vector<char> escaped;   // entry's storage is read by Output
   std::vector<std::vector<int>> bases;    // per entry: base entries
   std::vector<int> last_use;              // alias-extended lifetime (>= self)
-  std::vector<std::vector<int>> readers;  // entries reading this storage
   int iterations = 0;                     // fixpoint rounds taken
 
   // Is `entry` a direct fresh output (not a view, not external)? The

@@ -7,6 +7,7 @@
 
 #include "analysis/structural_rules.h"
 #include "core/functional.h"
+#include "core/json.h"
 #include "core/memory_plan.h"
 #include "core/op_registry.h"
 #include "core/plan_cache.h"
@@ -17,6 +18,7 @@ namespace fxcpp::analysis {
 
 using fx::Graph;
 using fx::GraphModule;
+using fx::json_escape;
 using fx::Node;
 using fx::Opcode;
 using fx::OpInfo;
@@ -55,25 +57,6 @@ std::string Report::to_string() const {
      << " warning(s), " << count(Severity::Info) << " info";
   return os.str();
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Report::to_json() const {
   std::ostringstream os;
@@ -301,24 +284,26 @@ void check_gradual_types(const RuleContext& ctx, std::vector<Diagnostic>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-aliasing rule — an installed memory plan (passes::compile_planned)
-// must be internally sound: no two simultaneously-live planned intervals may
-// overlap in the arena, every slot must lie inside the arena, and can_alias
-// in-place reuse may only target a planned input that is dead by the
-// aliasing instruction. The planner establishes these invariants; this rule
-// re-derives them from the plan alone so a transform that edits the tape
-// under a stale plan (or a future planner bug) is caught before the plan
-// hands kernels overlapping memory.
+// Plan-aliasing rule — every cached memory plan (passes::compile_planned
+// and each plan-cache miss) must be internally sound: no two
+// simultaneously-live planned intervals may overlap in the arena, every
+// slot must lie inside the arena, and can_alias in-place reuse may only
+// target a planned input that is dead by the aliasing instruction. The
+// planner establishes these invariants; this rule re-derives them from each
+// plan alone so a transform that edits the tape under a stale plan (or a
+// future planner bug) is caught before the plan hands kernels overlapping
+// memory.
 // ---------------------------------------------------------------------------
 
-void check_plan_aliasing(const RuleContext& ctx, std::vector<Diagnostic>& out) {
-  if (!ctx.gm || !ctx.gm->has_plan() || !ctx.gm->compiled()) return;
-  const fx::TapePlan& plan = *ctx.gm->plan();
-  const auto& instrs = ctx.gm->compiled_graph().instrs();
+void audit_plan_aliasing(const fx::PlanCacheEntry& entry,
+                         const std::vector<fx::Instr>& instrs,
+                         std::vector<Diagnostic>& out) {
+  const fx::TapePlan& plan = *entry.plan();
+  const std::string at = "cached plan '" + entry.signature() + "': ";
   const auto& ivs = plan.intervals;
   if (ivs.size() != instrs.size()) {
     emit(out, "plan.aliasing", Severity::Error, nullptr, "",
-         "plan has " + std::to_string(ivs.size()) + " intervals but the tape "
+         at + "plan has " + std::to_string(ivs.size()) + " intervals but the tape "
          "has " + std::to_string(instrs.size()) + " instructions",
          "the module was recompiled under a stale plan; re-run "
          "passes::compile_planned");
@@ -334,7 +319,7 @@ void check_plan_aliasing(const RuleContext& ctx, std::vector<Diagnostic>& out) {
     if (j < 0 || static_cast<std::size_t>(j) >= i || !ivs[i].planned ||
         !ivs[static_cast<std::size_t>(j)].planned) {
       emit(out, "plan.aliasing", Severity::Error, n, n ? n->name() : "",
-           "in-place interval " + std::to_string(i) +
+           at + "in-place interval " + std::to_string(i) +
                " has invalid alias target " + std::to_string(j),
            "alias_of must name an earlier planned interval");
       continue;
@@ -342,13 +327,13 @@ void check_plan_aliasing(const RuleContext& ctx, std::vector<Diagnostic>& out) {
     const auto& tgt = ivs[static_cast<std::size_t>(j)];
     if (ivs[i].offset != tgt.offset) {
       emit(out, "plan.aliasing", Severity::Error, n, n ? n->name() : "",
-           "in-place interval " + std::to_string(i) +
+           at + "in-place interval " + std::to_string(i) +
                " does not share its target's arena offset",
            "can_alias reuse must write the exact slot the input occupies");
     }
     if (tgt.last_use > ivs[i].def) {
       emit(out, "plan.aliasing", Severity::Error, n, n ? n->name() : "",
-           "in-place interval " + std::to_string(i) + " overwrites interval " +
+           at + "in-place interval " + std::to_string(i) + " overwrites interval " +
                std::to_string(j) + " which is still read at instruction " +
                std::to_string(tgt.last_use),
            "can_alias reuse requires the input to be dead at the aliasing "
@@ -364,7 +349,7 @@ void check_plan_aliasing(const RuleContext& ctx, std::vector<Diagnostic>& out) {
     if (a.offset + a.padded > plan.arena_bytes) {
       const fx::Node* n = instrs[i].node;
       emit(out, "plan.aliasing", Severity::Error, n, n ? n->name() : "",
-           "interval " + std::to_string(i) + " extends past the arena (" +
+           at + "interval " + std::to_string(i) + " extends past the arena (" +
                std::to_string(a.offset + a.padded) + " > " +
                std::to_string(plan.arena_bytes) + " bytes)");
     }
@@ -377,12 +362,21 @@ void check_plan_aliasing(const RuleContext& ctx, std::vector<Diagnostic>& out) {
       if (bytes_overlap && live_overlap) {
         const fx::Node* n = instrs[j].node;
         emit(out, "plan.aliasing", Severity::Error, n, n ? n->name() : "",
-             "intervals " + std::to_string(i) + " and " + std::to_string(j) +
+             at + "intervals " + std::to_string(i) + " and " + std::to_string(j) +
                  " are simultaneously live but share arena bytes",
              "liveness/first-fit disagreement: the planned run would hand two "
              "kernels overlapping memory");
       }
     }
+  }
+}
+
+void check_plan_aliasing(const RuleContext& ctx, std::vector<Diagnostic>& out) {
+  if (!ctx.gm || !ctx.gm->compiled()) return;
+  const std::shared_ptr<fx::PlanCache> cache = ctx.gm->plan_cache();
+  if (!cache) return;
+  for (const auto& entry : cache->entries()) {
+    audit_plan_aliasing(*entry, ctx.gm->compiled_graph().instrs(), out);
   }
 }
 

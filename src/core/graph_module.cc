@@ -391,48 +391,16 @@ void GraphModule::recompile() {
 
   compiled->num_regs_ = next_reg;
   compiled_ = std::move(compiled);
-  // Any installed memory plan indexed the old tape; drop it (and every
-  // cached specialization — their instruction indices are meaningless on
-  // the new tape). The replanner (if set) rebuilds a matching plan on the
-  // next run_planned().
-  std::shared_ptr<PlanCache> cache;
-  {
-    std::lock_guard<std::mutex> lk(plan_mu_);
-    plan_.reset();
-    arena_.reset();
-    cache = plan_cache_;
-  }
-  if (cache) cache->clear();
+  // Every cached specialization indexed the old tape; drop them all. The
+  // replanner rebuilds a matching plan on the next run_planned().
+  if (std::shared_ptr<PlanCache> cache = plan_cache()) cache->clear();
 }
 
-void GraphModule::install_plan(std::shared_ptr<const TapePlan> plan) {
-  if (!plan) {
-    clear_plan();
-    return;
-  }
-  // Build the arena before publishing, then publish the pair under the lock:
-  // a concurrent reader either sees the old (plan, arena) pair or the new
-  // one, never a plan whose arena is missing or undersized.
-  auto arena = std::make_shared<MemoryArena>(plan->arena_bytes);
-  std::lock_guard<std::mutex> lk(plan_mu_);
-  arena_ = std::move(arena);
-  plan_ = std::move(plan);
-}
-
-void GraphModule::clear_plan() {
-  std::lock_guard<std::mutex> lk(plan_mu_);
-  plan_.reset();
-  arena_.reset();
-}
-
-std::shared_ptr<const TapePlan> GraphModule::plan() const {
-  std::lock_guard<std::mutex> lk(plan_mu_);
-  return plan_;
-}
-
-void GraphModule::set_plan_cache(std::shared_ptr<PlanCache> cache) {
+void GraphModule::set_plan_cache(std::shared_ptr<PlanCache> cache,
+                                 Replanner replanner) {
   std::lock_guard<std::mutex> lk(plan_mu_);
   plan_cache_ = std::move(cache);
+  replanner_ = std::move(replanner);
 }
 
 std::shared_ptr<PlanCache> GraphModule::plan_cache() const {
@@ -441,105 +409,65 @@ std::shared_ptr<PlanCache> GraphModule::plan_cache() const {
 }
 
 std::shared_ptr<PlanCacheEntry> GraphModule::replan_into_cache(
-    const std::vector<RtValue>& inputs) {
-  std::shared_ptr<PlanCache> cache = plan_cache();
-  if (!cache || !replanner_) return nullptr;
-  const std::string sig = cache->signature_of(inputs);
+    PlanCache& cache, const std::vector<RtValue>& inputs) {
+  Replanner replanner;
+  {
+    std::lock_guard<std::mutex> lk(plan_mu_);
+    replanner = replanner_;
+  }
+  if (!replanner) return nullptr;
+  const std::string sig = cache.signature_of(inputs);
   std::lock_guard<std::mutex> lk(replan_mu_);
   // Double-checked: another thread may have planned this signature while we
   // waited for the planning lock.
-  if (std::shared_ptr<PlanCacheEntry> raced = cache->peek(sig)) return raced;
+  if (std::shared_ptr<PlanCacheEntry> raced = cache.peek(sig)) return raced;
   // Plan at the signature's canonical shapes (dim 0 rounded up under
   // bucketing) so one plan serves the whole bucket. Graphs that reject the
   // canonical shapes (e.g. square-matmul graphs where rounding one dim
   // breaks the contract) fall back to planning at the exact inputs — the
   // entry still serves the bucket, with off-canonical sizes degrading to
   // heap allocation (see core/plan_cache.h).
+  std::shared_ptr<const TapePlan> plan;
   std::vector<Tensor> canon;
-  bool planned = false;
-  if (cache->canonical_inputs(inputs, &canon)) {
-    std::vector<RtValue> canon_rt(canon.begin(), canon.end());
+  if (cache.canonical_inputs(inputs, &canon)) {
     try {
-      replanner_(*this, canon_rt);
-      planned = has_plan();
+      plan = replanner(*this, std::vector<RtValue>(canon.begin(), canon.end()));
     } catch (...) {
-      planned = false;
+      // Rejected: plan at the exact inputs below.
     }
   }
-  if (!planned) {
-    replanner_(*this, inputs);
-    if (!has_plan()) return nullptr;
-  }
-  return cache->insert(inputs, plan());
+  if (!plan) plan = replanner(*this, inputs);
+  if (!plan) return nullptr;
+  return cache.insert(inputs, std::move(plan));
 }
 
-bool GraphModule::run_planned_cached(
-    const std::vector<RtValue>& inputs,
-    std::shared_ptr<const TapePlan>* plan_out,
-    std::shared_ptr<PlanCacheEntry>* entry_out) {
+std::shared_ptr<PlanCacheEntry> GraphModule::planned_entry(
+    const std::vector<RtValue>& inputs) {
   std::shared_ptr<PlanCache> cache = plan_cache();
-  if (!cache) return false;
+  if (!cache) return nullptr;
   std::shared_ptr<PlanCacheEntry> entry = cache->lookup(inputs);
-  if (!entry) entry = replan_into_cache(inputs);
-  if (!entry) return false;
-  // Stale-tape backstop: recompile() clears the cache under plan_mu_, but an
-  // entry obtained just before that clear could index the old tape.
-  if (entry->plan()->intervals.size() != compiled_->instrs().size()) {
-    return false;
+  if (!entry) entry = replan_into_cache(*cache, inputs);
+  // Stale-tape backstop: recompile() clears the cache, but an entry
+  // obtained just before that clear could index the old tape.
+  if (entry && entry->plan()->intervals.size() != compiled_->instrs().size()) {
+    return nullptr;
   }
-  *plan_out = entry->plan();
-  *entry_out = std::move(entry);
-  return true;
+  return entry;
 }
 
 std::vector<RtValue> GraphModule::run_planned(std::vector<RtValue> inputs,
                                               ExecHooks* hooks) {
   if (!compiled_) recompile();
-  {
-    // Cache path: hit = signature hash + guard check, zero planning work;
-    // miss plans once (replan_into_cache) and inserts. Each run leases its
-    // own arena, so concurrent callers of any shape mix are safe.
-    std::shared_ptr<const TapePlan> plan;
-    std::shared_ptr<PlanCacheEntry> entry;
-    if (run_planned_cached(inputs, &plan, &entry)) {
-      ArenaLease lease(entry);
-      return compiled_->run_planned(std::move(inputs), *plan, lease.base(),
-                                    hooks);
-    }
-    if (plan_cache()) {
-      // Cache attached but no plan could be produced (non-tensor inputs,
-      // planner failure): transparent unplanned fallback.
-      return compiled_->run(std::move(inputs), hooks);
-    }
+  // Hit: signature hash + guard check, zero planning work; a miss plans
+  // once and inserts. Each run leases its own arena, so concurrent callers
+  // of any shape mix are safe. No plan (no cache attached, non-tensor
+  // inputs, planner failure): the unplanned tape.
+  if (std::shared_ptr<PlanCacheEntry> entry = planned_entry(inputs)) {
+    ArenaLease lease(entry);
+    return compiled_->run_planned(std::move(inputs), *entry->plan(),
+                                  lease.base(), hooks);
   }
-  // Cacheless path (install_plan without compile_planned): snapshot the
-  // published (plan, arena) pair so a concurrent replan never leaves us with
-  // a plan whose arena belongs to a different specialization.
-  std::shared_ptr<const TapePlan> plan;
-  std::shared_ptr<MemoryArena> arena;
-  {
-    std::lock_guard<std::mutex> lk(plan_mu_);
-    plan = plan_;
-    arena = arena_;
-  }
-  if (!plan || !plan_matches_inputs(*plan, inputs)) {
-    // Shape change (or no plan yet): transparent re-plan, then fall back to
-    // the unplanned tape if no matching plan could be produced.
-    if (replanner_) {
-      std::lock_guard<std::mutex> lk(replan_mu_);
-      replanner_(*this, inputs);
-    }
-    {
-      std::lock_guard<std::mutex> lk(plan_mu_);
-      plan = plan_;
-      arena = arena_;
-    }
-    if (!plan || !plan_matches_inputs(*plan, inputs)) {
-      return compiled_->run(std::move(inputs), hooks);
-    }
-  }
-  return compiled_->run_planned(std::move(inputs), *plan, arena->base(),
-                                hooks);
+  return compiled_->run(std::move(inputs), hooks);
 }
 
 Tensor GraphModule::run_planned(const Tensor& input) {

@@ -26,7 +26,6 @@ namespace fxcpp::fx {
 
 class ExecHooks;
 struct TapePlan;   // core/memory_plan.h
-class MemoryArena;  // core/memory_plan.h
 class PlanCache;       // core/plan_cache.h
 class PlanCacheEntry;  // core/plan_cache.h
 
@@ -166,46 +165,34 @@ class GraphModule : public nn::Module {
 
   // --- memory planning (computed by passes/memory_planner) --------------
   // A TapePlan maps each instruction's output to a slot in one pre-sized
-  // arena; planned runs reuse the arena run-to-run instead of re-allocating
-  // every intermediate. Install via passes::compile_planned(), which also
-  // attaches a guard-keyed PlanCache (core/plan_cache.h) and a replanner,
-  // so mixed-shape traffic plans each distinct input signature once and
-  // every later arrival of that signature runs with zero planning work.
+  // arena; planned runs reuse arenas run-to-run instead of re-allocating
+  // every intermediate. Plans live only in a guard-keyed PlanCache
+  // (core/plan_cache.h), attached by passes::compile_planned together with
+  // a replanner, so mixed-shape traffic plans each distinct input signature
+  // once and every later arrival of that signature runs with zero planning
+  // work.
 
-  // Installs `plan` and allocates a fresh arena sized plan->arena_bytes.
-  // Thread-safe: the (plan, arena) pair is published atomically — a reader
-  // never observes a plan without its matching arena.
-  void install_plan(std::shared_ptr<const TapePlan> plan);
-  std::shared_ptr<const TapePlan> plan() const;
-  bool has_plan() const { return plan() != nullptr; }
-  // Drops the plan and its arena (the replanner and plan cache, if any,
-  // survive — the next run_planned rebuilds a plan from the actual inputs).
-  void clear_plan();
+  // Plans the tape at `inputs` — a missed signature's canonical shapes, or
+  // the exact inputs when the graph rejects those — and returns the plan,
+  // or nullptr when no plan applies (non-tensor inputs). Pure: it reads the
+  // graph and writes nothing, so node meta and guards stay those of the
+  // compile shapes.
+  using Replanner = std::function<std::shared_ptr<const TapePlan>(
+      GraphModule&, const std::vector<RtValue>&)>;
 
-  // Called by run_planned when the inputs violate the current plan's
-  // contract (or no plan is installed); expected to install_plan() a plan
-  // matching `inputs`. Set by passes::compile_planned. Invocations are
-  // serialized by the module (replanning mutates graph meta).
-  using Replanner =
-      std::function<void(GraphModule&, const std::vector<RtValue>&)>;
-  void set_replanner(Replanner r) { replanner_ = std::move(r); }
-
-  // Multi-plan cache: when attached (passes::compile_planned does), the
-  // planned entry points key runs by input-shape signature — a hit reuses
-  // the cached specialized plan and a pooled arena (zero planning work), a
-  // miss plans once via the replanner and inserts. Evicted entries stay
+  // Attach the multi-plan cache and the replanner that fills it on a miss
+  // (passes::compile_planned does). A hit reuses the cached specialized
+  // plan and a pooled arena (zero planning work). Evicted entries stay
   // alive for threads still running them (shared_ptr-held).
-  void set_plan_cache(std::shared_ptr<PlanCache> cache);
+  void set_plan_cache(std::shared_ptr<PlanCache> cache, Replanner replanner);
   std::shared_ptr<PlanCache> plan_cache() const;
 
-  // Execute the tape into a planned arena. Inputs that miss the plan cache
-  // (or violate a cacheless module's installed contract) trigger the
-  // replanner; with no replanner (or one that could not produce a plan) the
-  // run transparently falls back to the unplanned tape — planned execution
-  // is an optimization, not a new failure mode. With a plan cache attached
-  // this is thread-safe for concurrent callers of any shape mix (each run
-  // leases its own arena); without one, concurrent callers must use
-  // distinct shapes or give each thread its own module.
+  // Execute the tape into a planned arena leased from the input signature's
+  // cache entry. A miss plans once through the replanner and inserts; with
+  // no cache attached, or no plan for these inputs, the run transparently
+  // uses the unplanned tape — planned execution is an optimization, not a
+  // new failure mode. Thread-safe for concurrent callers of any shape mix
+  // (each run leases its own arena).
   std::vector<RtValue> run_planned(std::vector<RtValue> inputs,
                                    ExecHooks* hooks = nullptr);
   Tensor run_planned(const Tensor& input);
@@ -263,31 +250,26 @@ class GraphModule : public nn::Module {
   void to_folder(const std::string& dir) const;
 
  private:
-  // Cache path of run_planned: lookup -> (miss: plan once under replan_mu_,
-  // insert) -> lease an arena -> execute. Returns false when no cache is
-  // attached or no plan could be produced (caller falls back).
-  bool run_planned_cached(const std::vector<RtValue>& inputs,
-                          std::shared_ptr<const TapePlan>* plan_out,
-                          std::shared_ptr<PlanCacheEntry>* entry_out);
-  // Miss path: double-checked peek, then plan at the signature's canonical
-  // shapes (replanner) and insert. Serialized by replan_mu_ because
-  // replanning re-infers shape/dtype meta, which writes node meta.
-  std::shared_ptr<PlanCacheEntry> replan_into_cache(
+  // The cache entry run_planned executes: lookup, else plan once and
+  // insert. nullptr when no cache is attached, no plan could be produced,
+  // or the entry indexes a stale tape (caller runs unplanned).
+  std::shared_ptr<PlanCacheEntry> planned_entry(
       const std::vector<RtValue>& inputs);
+  // Miss path: double-checked peek, then plan at the signature's canonical
+  // shapes (replanner) and insert what it returns.
+  std::shared_ptr<PlanCacheEntry> replan_into_cache(
+      PlanCache& cache, const std::vector<RtValue>& inputs);
 
   nn::Module::Ptr root_;
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<CompiledGraph> compiled_;
   std::string code_;
   std::vector<GuardSpec> guards_;
-  // plan_mu_ guards publication of (plan_, arena_) and plan_cache_; a
-  // reader always sees a plan together with the arena sized for it (the PR 5
-  // half-initialized-plan race). replan_mu_ serializes planning work and is
-  // only ever taken before plan_mu_, never after.
+  // plan_mu_ guards the attached (plan_cache_, replanner_) pair.
+  // replan_mu_ serializes misses, so concurrent misses of one signature plan
+  // it once. The two are never held together.
   mutable std::mutex plan_mu_;
   std::mutex replan_mu_;
-  std::shared_ptr<const TapePlan> plan_;
-  std::shared_ptr<MemoryArena> arena_;
   std::shared_ptr<PlanCache> plan_cache_;
   Replanner replanner_;
 };

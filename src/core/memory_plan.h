@@ -39,9 +39,6 @@ struct PlanInterval {
   bool planned = false;    // served from the arena (false = heap)
   bool in_place = false;   // reuses a dead input's slot (can_alias)
   int alias_of = -1;       // interval whose slot this one reuses (in_place)
-  // Every instruction that reads this buffer, including reads through
-  // view/alias registers.
-  std::vector<int> readers;
 };
 
 struct TapePlan {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/json.h"
 #include "tensor/dtype.h"
 
 namespace fxcpp::fx {
@@ -10,25 +11,6 @@ namespace fxcpp::fx {
 // ---------------------------------------------------------------------------
 // PlanCacheStats
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string PlanCacheStats::to_json() const {
   std::ostringstream os;

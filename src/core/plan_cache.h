@@ -1,14 +1,15 @@
 // Guard-keyed multi-plan cache for dynamic input shapes.
 //
 // The replanner (passes::compile_planned) makes planned execution shape-
-// polymorphic, but it re-plans — shape inference over the graph
-// (passes::infer_meta) plus alias analysis plus first-fit packing — on
-// *every* shape change.
-// Production traffic has a few hot shapes; this cache maps an input-shape
-// signature (the same shape/dtype facts the PR 4 GuardSpecs pin) to a fully
-// specialized planned tape, so mixed-shape traffic plans each distinct
-// signature once and then never again on the hot path. A cache hit performs
-// a signature hash plus a guard check — zero planning work.
+// polymorphic: it plans the tape at given inputs — shape inference over the
+// graph (passes::infer_meta_table) plus alias analysis plus first-fit
+// packing — and returns the plan without touching the module. This cache is
+// the only place plans live. Production traffic has a few hot shapes; the
+// cache maps an input-shape signature (the same shape/dtype facts the
+// GuardSpecs pin) to a fully specialized planned tape, so mixed-shape
+// traffic plans each distinct signature once and then never again on the
+// hot path. A cache hit performs a signature hash plus a guard check — zero
+// planning work.
 //
 // Keying. The signature is the canonical rendering of each input's dtype and
 // dims ("f32[8,16];f32[8]"); non-tensor inputs contribute an unchecked tag.

@@ -47,8 +47,8 @@ struct CostReport {
 CostReport estimate_cost(const fx::GraphModule& gm);
 
 // Like the above, but re-runs ShapeProp on `example_inputs` first, so the
-// report always describes those shapes — never whatever meta the graph last
-// held (a plan-cache miss re-infers meta at its own shapes).
+// report always describes those shapes — never whatever meta the graph
+// held (compile_planned leaves the compile shapes' meta).
 CostReport estimate_cost(fx::GraphModule& gm,
                          const std::vector<Tensor>& example_inputs);
 

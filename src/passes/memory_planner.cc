@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "analysis/dataflow.h"  // alias_summary: shared freshness/lifetime facts
-#include "passes/symbolic_shapes.h"
 #include "tensor/dtype.h"
 
 namespace fxcpp::passes {
@@ -70,14 +69,14 @@ FirstFitPacking first_fit_pack(const std::vector<LiveRange>& ranges,
 
 namespace {
 
-std::size_t meta_nbytes(const fx::Node* n) {
-  if (!n || !n->has_meta("shape") || !n->has_meta("dtype")) return 0;
+std::size_t meta_nbytes(const TensorMeta* m) {
+  if (!m) return 0;
   std::int64_t numel = 1;
-  for (std::int64_t d : n->shape()) {
+  for (std::int64_t d : m->shape) {
     if (d < 0) return 0;  // symbolic / unknown dimension
     numel *= d;
   }
-  return static_cast<std::size_t>(numel) * dtype_size(n->dtype());
+  return static_cast<std::size_t>(numel) * dtype_size(m->dtype);
 }
 
 // Slot granularity: matches Storage's own 64-byte padding, so adjacent
@@ -90,28 +89,29 @@ std::size_t pad_slot(std::size_t nbytes) {
   return p == 0 ? kSlotAlign : p;
 }
 
-bool meta_matches(const fx::Node* a, const fx::Node* b) {
-  return a && b && a->has_meta("shape") && b->has_meta("shape") &&
-         a->has_meta("dtype") && b->has_meta("dtype") &&
-         a->shape() == b->shape() && a->dtype() == b->dtype();
-}
-
-void install_with_guards(GraphModule& gm,
-                         std::shared_ptr<const TapePlan> plan) {
-  // Mirror the plan's input contract onto the module's resilience guards
-  // (PR 4) when every placeholder has a named spec; unnamed specs mean
-  // non-tensor or meta-less placeholders, which strict guards can't express.
-  const bool all_named =
-      std::all_of(plan->guards.begin(), plan->guards.end(),
-                  [](const GuardSpec& g) { return !g.placeholder.empty(); });
-  if (all_named) gm.set_guards(plan->guards);
-  gm.install_plan(std::move(plan));
+bool meta_matches(const TensorMeta* a, const TensorMeta* b) {
+  return a && b && a->shape == b->shape && a->dtype == b->dtype;
 }
 
 }  // namespace
 
 std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm) {
+  MetaTable meta;
+  for (const fx::Node* node : gm.graph().nodes()) {
+    if (node->has_shape() && node->has_meta("dtype")) {
+      meta.emplace(node, TensorMeta{node->shape(), node->dtype()});
+    }
+  }
+  return plan_tape(gm, meta);
+}
+
+std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm,
+                                          const MetaTable& meta) {
   if (!gm.compiled()) gm.recompile();
+  auto meta_of = [&](const fx::Node* node) -> const TensorMeta* {
+    const auto it = meta.find(node);
+    return it == meta.end() ? nullptr : &it->second;
+  };
   const CompiledGraph& cg = gm.compiled_graph();
   const auto& instrs = cg.instrs();
   const int n = static_cast<int>(instrs.size());
@@ -119,7 +119,7 @@ std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm) {
   // Pass 1 — alias facts from the shared dataflow layer (analysis/dataflow.h).
   // Summary entries are the graph's non-placeholder nodes in graph order,
   // which is exactly the tape's instruction order: summary index i IS
-  // instruction i. Freshness, base sets, lifetimes, readers, and escapes all
+  // instruction i. Freshness, base sets, lifetimes, and escapes all
   // come from the one analysis the verifier and fxlint --analyze also run,
   // so the planner can never disagree with them.
   const analysis::AliasSummary aliases =
@@ -132,7 +132,6 @@ std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm) {
     PlanInterval& iv = plan->intervals[iu];
     iv.def = i;
     iv.last_use = aliases.last_use[iu];
-    iv.readers = aliases.readers[iu];
   }
 
   // Planned candidacy: fresh output, known static size, does not escape.
@@ -140,7 +139,7 @@ std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm) {
   for (int i = 0; i < n; ++i) {
     const auto iu = static_cast<std::size_t>(i);
     if (!aliases.fresh[iu]) continue;
-    const std::size_t nb = meta_nbytes(instrs[iu].node);
+    const std::size_t nb = meta_nbytes(meta_of(instrs[iu].node));
     if (nb == 0) continue;
     plan->intervals[iu].nbytes = nb;
     plan->intervals[iu].padded = pad_slot(nb);
@@ -187,7 +186,9 @@ std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm) {
       const auto ju = static_cast<std::size_t>(j);
       if (!candidate[ju]) continue;
       if (plan->intervals[ju].last_use != i) continue;  // must die here
-      if (!meta_matches(ins.node, instrs[ju].node)) continue;
+      if (!meta_matches(meta_of(ins.node), meta_of(instrs[ju].node))) {
+        continue;
+      }
       alias_root[iu] = alias_root[ju];
       plan->intervals[iu].in_place = true;
       plan->intervals[iu].alias_of = j;
@@ -238,10 +239,10 @@ std::shared_ptr<const TapePlan> plan_tape(GraphModule& gm) {
   plan->guards.reserve(cg.input_nodes().size());
   for (const fx::Node* pn : cg.input_nodes()) {
     GuardSpec g;
-    if (pn && pn->has_meta("shape") && pn->has_meta("dtype")) {
+    if (const TensorMeta* m = meta_of(pn)) {
       g.placeholder = pn->name();
-      g.shape = pn->shape();
-      g.dtype = pn->dtype();
+      g.shape = m->shape;
+      g.dtype = m->dtype;
     }
     plan->guards.push_back(std::move(g));
   }
@@ -257,30 +258,42 @@ const TapePlan& compile_planned(GraphModule& gm,
                                 const std::vector<Tensor>& example_inputs,
                                 const fx::PlanCacheOptions& cache_opts) {
   infer_meta(gm, example_inputs);
-  install_with_guards(gm, plan_tape(gm));
-  // The replanner makes planned entry points shape-polymorphic: on a guard
-  // mismatch they re-infer shapes from the actual inputs and swap in a
-  // fresh plan (stateless, so it survives recompile()).
-  gm.set_replanner([](GraphModule& g, const std::vector<RtValue>& inputs) {
-    std::vector<Tensor> ts;
-    ts.reserve(inputs.size());
-    for (const RtValue& v : inputs) {
-      if (!fx::rt_is_tensor(v)) {
-        g.clear_plan();  // non-tensor inputs: fall back to unplanned runs
-        return;
-      }
-      ts.push_back(fx::rt_tensor(v));
-    }
-    infer_meta(g, ts);
-    install_with_guards(g, plan_tape(g));
-  });
+  std::shared_ptr<const TapePlan> plan = plan_tape(gm);
+  // Mirror the plan's input contract onto the module's resilience guards
+  // when every placeholder has a named spec; unnamed specs mean
+  // non-tensor or meta-less placeholders, which strict guards can't express.
+  // Meta and guards stay those of the example inputs: a later miss plans
+  // into the cache only.
+  if (std::all_of(plan->guards.begin(), plan->guards.end(),
+                  [](const GuardSpec& g) { return !g.placeholder.empty(); })) {
+    gm.set_guards(plan->guards);
+  }
   // Seed the cache with the example-shape specialization so the first real
   // request at the traced shape is already a hit.
   auto cache = std::make_shared<fx::PlanCache>(cache_opts);
   std::vector<RtValue> example_rt(example_inputs.begin(), example_inputs.end());
-  cache->insert(example_rt, gm.plan());
-  gm.set_plan_cache(std::move(cache));
-  return *gm.plan();
+  const std::shared_ptr<fx::PlanCacheEntry> seeded =
+      cache->insert(example_rt, std::move(plan));
+  // Pool the seeded entry's first arena now; the first run at the example
+  // shape leases it rather than allocating its own.
+  seeded->release_arena(seeded->acquire_arena());
+  // The replanner makes planned entry points shape-polymorphic: on a miss
+  // it plans at the actual inputs from its own meta table, reading the
+  // graph only (stateless, so it survives recompile()). Non-tensor inputs
+  // get no plan and run unplanned.
+  gm.set_plan_cache(
+      std::move(cache),
+      [](GraphModule& g, const std::vector<RtValue>& inputs)
+          -> std::shared_ptr<const TapePlan> {
+        std::vector<Tensor> ts;
+        ts.reserve(inputs.size());
+        for (const RtValue& v : inputs) {
+          if (!fx::rt_is_tensor(v)) return nullptr;
+          ts.push_back(fx::rt_tensor(v));
+        }
+        return plan_tape(g, infer_meta_table(g, ts));
+      });
+  return *seeded->plan();
 }
 
 }  // namespace fxcpp::passes

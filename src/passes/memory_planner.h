@@ -32,6 +32,7 @@
 #include "core/graph_module.h"
 #include "core/memory_plan.h"
 #include "core/plan_cache.h"
+#include "passes/symbolic_shapes.h"
 
 namespace fxcpp::passes {
 
@@ -58,24 +59,32 @@ struct FirstFitPacking {
 FirstFitPacking first_fit_pack(const std::vector<LiveRange>& ranges,
                                int num_steps);
 
-// Compute a memory plan for gm's current tape. Requires shape/dtype meta on
-// the nodes (infer_meta or shape_prop first); instructions without meta —
+// Compute a memory plan for gm's current tape from the shape/dtype meta on
+// its nodes (infer_meta or shape_prop first). Instructions without meta —
 // or whose outputs alias inputs or escape through Output — stay on the
-// heap. Pure analysis: does not install anything on the module.
+// heap. Pure analysis: installs nothing on the module.
 std::shared_ptr<const fx::TapePlan> plan_tape(fx::GraphModule& gm);
+// The same plan, computed from `meta` instead of node meta (the graph is
+// only read). The plan-cache replanner plans each missed signature this
+// way, from infer_meta_table at its inputs.
+std::shared_ptr<const fx::TapePlan> plan_tape(fx::GraphModule& gm,
+                                              const MetaTable& meta);
 
 // One-call planned-mode setup: infers shape/dtype meta from the example
 // inputs' shapes with passes::infer_meta (symbolic_shapes.h) — the
-// transfer rules, not a forward pass, so the model never runs here — then
-// plans the tape, installs the plan (+ input guards derived from it) on the
-// module, registers a replanner that does the same per new input
-// signature, and attaches a guard-keyed PlanCache (core/plan_cache.h)
-// seeded with the example-shape plan — so mixed-shape traffic plans each
-// distinct input signature once and every repeat is a pure cache hit.
+// transfer rules, not a forward pass, so the model never runs here — plans
+// the tape, sets the module's input guards from that plan, and attaches a
+// guard-keyed PlanCache (core/plan_cache.h) seeded with it, together with a
+// replanner that plans each new input signature into the cache. Node meta
+// and guards stay those of the example inputs; mixed-shape traffic plans
+// each distinct signature once and every repeat is a pure cache hit. The
+// seeded entry's pool gets its first arena here, which the first planned
+// run at the example shape leases; the module itself holds no arena.
 // Nodes the rules cannot type (custom ops and their dependents) run from
 // the heap. Throws std::invalid_argument naming the node when the example
-// inputs' shapes definitely conflict with the graph. Returns the installed
-// plan (owned by the module).
+// inputs' shapes definitely conflict with the graph. Returns the seeded
+// entry's plan, valid until that entry is evicted or recompile() clears the
+// cache.
 const fx::TapePlan& compile_planned(fx::GraphModule& gm,
                                     const std::vector<Tensor>& example_inputs);
 // Same, with explicit cache knobs (LRU capacity, batch-dim bucketing,

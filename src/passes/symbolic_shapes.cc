@@ -848,7 +848,8 @@ SymShape propagate_symbolic(fx::GraphModule& gm,
   return result;
 }
 
-void infer_meta(fx::GraphModule& gm, const std::vector<Tensor>& example_inputs) {
+MetaTable infer_meta_table(fx::GraphModule& gm,
+                           const std::vector<Tensor>& example_inputs) {
   std::size_t placeholders = 0;
   for (const fx::Node* n : gm.graph().nodes()) {
     if (n->op() == fx::Opcode::Placeholder) ++placeholders;
@@ -861,15 +862,27 @@ void infer_meta(fx::GraphModule& gm, const std::vector<Tensor>& example_inputs) 
   for (const Tensor& t : example_inputs) {
     in.push_back(SymTensor{sym_of(t.sizes()), t.dtype()});
   }
-  transfer_graph(gm, in, [](fx::Node& n, const SymTensor& t) {
+  MetaTable meta;
+  transfer_graph(gm, in, [&](const fx::Node& n, const SymTensor& t) {
     std::optional<Shape> shape = concrete(t.shape);
     if (shape && t.dtype) {
-      n.set_meta("shape", std::move(*shape));
-      n.set_meta("dtype", *t.dtype);
-    } else {
-      n.invalidate_shape_meta();
+      meta.emplace(&n, TensorMeta{std::move(*shape), *t.dtype});
     }
   });
+  return meta;
+}
+
+void infer_meta(fx::GraphModule& gm, const std::vector<Tensor>& example_inputs) {
+  const MetaTable meta = infer_meta_table(gm, example_inputs);
+  for (fx::Node* n : gm.graph().nodes()) {
+    const auto it = meta.find(n);
+    if (it == meta.end()) {
+      n->invalidate_shape_meta();
+    } else {
+      n->set_meta("shape", it->second.shape);
+      n->set_meta("dtype", it->second.dtype);
+    }
+  }
 }
 
 LoopAnalysis analyze_loop_cat(const SymShape& init, int cat_dim,

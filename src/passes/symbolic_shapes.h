@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/graph_module.h"
@@ -92,16 +93,30 @@ void transfer_graph(fx::GraphModule& gm, const std::vector<SymTensor>& inputs,
 SymShape propagate_symbolic(fx::GraphModule& gm,
                             const std::vector<SymShape>& input_shapes);
 
-// Metadata-only shape propagation from example inputs: writes the same
-// meta["shape"] / meta["dtype"] that ShapeProp records, from the transfer
-// rules instead of a forward pass. Every node gets both keys or neither: a
-// node whose shape or dtype the rules do not determine exactly (unknown
-// module or target, or fed by such a node) has both cleared, so the planner
-// leaves it on the heap. Throws std::invalid_argument naming the node on a
-// definite conflict between exact shapes (wrong rank, broadcast mismatch,
-// channel mismatch), the engines' ArityMismatch ExecError on an input-count
-// mismatch, and never for a missing rule. ShapeProp remains the concrete
-// reference this pass is tested against.
+// One node's exact shape and dtype, as ShapeProp records them in meta.
+struct TensorMeta {
+  Shape shape;
+  DType dtype = DType::Float32;
+};
+using MetaTable = std::unordered_map<const fx::Node*, TensorMeta>;
+
+// Metadata-only shape propagation from example inputs: the shape/dtype the
+// transfer rules give each node, from one transfer_graph walk instead of a
+// forward pass. A node whose shape or dtype the rules do not determine
+// exactly (unknown module or target, or fed by such a node) is absent, so
+// the planner leaves it on the heap. Throws std::invalid_argument naming the
+// node on a definite conflict between exact shapes (wrong rank, broadcast
+// mismatch, channel mismatch), the engines' ArityMismatch ExecError on an
+// input-count mismatch, and never for a missing rule. Reads the graph only:
+// the plan-cache replanner plans from this table, so a miss never touches
+// node meta.
+MetaTable infer_meta_table(fx::GraphModule& gm,
+                           const std::vector<Tensor>& example_inputs);
+
+// infer_meta_table, then written to the nodes as the same meta["shape"] /
+// meta["dtype"] that ShapeProp records. Every node gets both keys or
+// neither. ShapeProp remains the concrete reference this pass is tested
+// against.
 void infer_meta(fx::GraphModule& gm, const std::vector<Tensor>& example_inputs);
 
 // Figure 4: the loop `for _ in range(itr): x = cat((x, x), dim=0)` as a

@@ -6,11 +6,14 @@
 #include <sstream>
 
 #include "core/interpreter.h"
+#include "core/json.h"
 #include "core/plan_cache.h"
 #include "kernels/dispatch.h"
 #include "tensor/pack_cache.h"
 
 namespace fxcpp::profile {
+
+using fx::json_escape;
 
 namespace {
 
@@ -29,29 +32,6 @@ double bytes_of(const fx::RtValue& v) {
     return sum;
   }
   return 0.0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string fmt_bytes(double b) {

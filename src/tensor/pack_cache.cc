@@ -58,6 +58,7 @@ Tensor PackCache::packed_weight(const Tensor& w) {
   }
   ++stats_.misses;
   g_misses.fetch_add(1, std::memory_order_relaxed);
+  drop_dead_entries();
   Entry e;
   e.source = w;
   e.packed = w.contiguous();
@@ -95,6 +96,7 @@ PackCache::PanelEntry PackCache::panel_lookup(const Tensor& w, int kind,
   }
   ++stats_.panel_misses;
   g_panel_misses.fetch_add(1, std::memory_order_relaxed);
+  drop_dead_entries();
   PanelEntry e = pack();
   e.version = version;
   stats_.panel_bytes += e.bytes;
@@ -212,6 +214,28 @@ void PackCache::set_capacity(std::size_t max_entries) {
   capacity_ = max_entries;
   evict_to_capacity();
   evict_panels_to_capacity();
+}
+
+void PackCache::drop_dead_entries() {
+  // A storage is dead when every reference to it is one of our entries'
+  // sources (a plain entry and panel entries of several kinds can share it).
+  std::unordered_map<std::uintptr_t, long> held;
+  for (const auto& [id, e] : entries_) ++held[id];
+  for (const auto& [key, e] : panel_entries_) ++held[key.id];
+  const auto dead = [&](const Tensor& source) {
+    return source.storage_use_count() <= held[source.storage_id()];
+  };
+  std::erase_if(entries_,
+                [&](const auto& kv) { return dead(kv.second.source); });
+  std::erase_if(panel_entries_, [&](const auto& kv) {
+    if (!dead(kv.second.source)) return false;
+    stats_.panel_bytes -= kv.second.bytes;
+    return true;
+  });
+  std::erase_if(insertion_order_,
+                [&](std::uintptr_t id) { return !entries_.contains(id); });
+  std::erase_if(panel_insertion_order_,
+                [&](const PanelKey& k) { return !panel_entries_.contains(k); });
 }
 
 void PackCache::evict_to_capacity() {

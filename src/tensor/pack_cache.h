@@ -25,11 +25,14 @@
 // in-place tensor mutation) plus the view geometry — mutate a weight and the
 // next lookup silently re-packs. Each entry retains the source tensor, so a
 // storage address can never be recycled into a stale key while its entry
-// lives. A small FIFO capacity bound keeps pathological many-weight
-// workloads from pinning unbounded memory. Aggregated hit/miss counts are
-// additionally mirrored into process-wide atomics (global_stats()) so the
-// profiler and serving stats can report cache behavior across all worker
-// threads.
+// lives. Every miss first drops the entries whose source storage this cache
+// alone still owns (the weight is gone, e.g. an earlier build of a model),
+// so dead weights are not pinned; a weight that other threads' caches also
+// hold stays until the FIFO capacity bound, the backstop that keeps
+// pathological many-weight workloads from pinning unbounded memory.
+// Aggregated hit/miss counts are additionally mirrored into process-wide
+// atomics (global_stats()) so the profiler and serving stats can report
+// cache behavior across all worker threads.
 #pragma once
 
 #include <cstdint>
@@ -159,6 +162,9 @@ class PackCache {
   template <typename PackFn>
   PanelEntry panel_lookup(const Tensor& w, int kind, int mr, PackFn&& pack);
 
+  // Drops every plain and panel entry whose source storage has no owner but
+  // this cache's entries. Called on a miss, before inserting.
+  void drop_dead_entries();
   void evict_to_capacity();
   void evict_panels_to_capacity();
 

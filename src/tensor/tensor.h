@@ -206,6 +206,9 @@ class Tensor {
   std::uint64_t storage_version() const {
     return storage_ ? storage_->version() : 0;
   }
+  // Owners of the underlying storage, this tensor included; 0 when
+  // undefined.
+  long storage_use_count() const { return storage_.use_count(); }
   std::int64_t storage_offset() const { return offset_; }
 
   std::string to_string(std::int64_t max_elems = 16) const;

@@ -1,9 +1,10 @@
 // Static memory planner + pack cache: differential fuzzing of planned
 // execution against the unplanned engines (bit-equal across interpreter and
 // serial tape), first-fit packing semantics, shape-change
-// re-planning, fault-injection interplay, the plan.aliasing verifier rule,
+// re-planning into the plan cache (meta and guards stay at the compile
+// shapes), fault-injection interplay, the plan.aliasing verifier rule,
 // infer_meta fidelity against ShapeProp on every model, and PackCache
-// hit/repack/eviction/concurrency behavior. All randomness is
+// hit/repack/eviction/dead-weight/concurrency behavior. All randomness is
 // seeded; the whole binary is run under ASan and TSan by scripts/check.sh.
 #include <gtest/gtest.h>
 
@@ -160,6 +161,13 @@ FuzzCase chain_case() {
   return fc;
 }
 
+// The plan-cache entry planned runs use for `inputs` (nullptr when none).
+std::shared_ptr<fx::PlanCacheEntry> entry_for(
+    const GraphModule& gm, const std::vector<RtValue>& inputs) {
+  const std::shared_ptr<fx::PlanCache> cache = gm.plan_cache();
+  return cache ? cache->peek(cache->signature_of(inputs)) : nullptr;
+}
+
 // --------------------------------------------------------------------------
 // first_fit_pack: the extracted TRT step semantics, pinned directly.
 // --------------------------------------------------------------------------
@@ -262,7 +270,7 @@ TEST(MemoryPlanFuzz, PlannedMatchesUnplannedAcrossEngines) {
           << fc.gm->graph().to_string();
     }
 
-    // The installed plan must satisfy its own soundness rule.
+    // Every cached plan must satisfy its own soundness rule.
     if (c < 25) {
       const auto rep = analysis::verify(*fc.gm);
       EXPECT_EQ(rep.count_rule("plan.aliasing"), 0)
@@ -286,21 +294,22 @@ TEST(MemoryPlan, ShapeChangeTriggersTransparentReplan) {
   gm.recompile();
 
   const Tensor small = Tensor::randn({4, 4});
+  const std::vector<RtValue> small_in{RtValue(small)};
   passes::compile_planned(gm, {small});
-  ASSERT_TRUE(gm.has_plan());
-  const std::size_t small_arena = gm.plan()->arena_bytes;
+  ASSERT_TRUE(entry_for(gm, small_in));
+  const std::size_t small_arena = entry_for(gm, small_in)->plan()->arena_bytes;
 
   const Tensor big = Tensor::randn({16, 16});
   const std::vector<RtValue> big_in{RtValue(big)};
   const RtValue ref = fx::Interpreter(gm).run(big_in);
   EXPECT_TRUE(bit_equal(ref, gm.run_planned(big_in).front()));
-  ASSERT_TRUE(gm.has_plan());
-  EXPECT_EQ(gm.plan()->guards[0].shape, Shape({16, 16}))
-      << "the replanner did not refresh the plan's input contract";
-  EXPECT_GT(gm.plan()->arena_bytes, small_arena);
+  const auto big_entry = entry_for(gm, big_in);
+  ASSERT_TRUE(big_entry);
+  EXPECT_EQ(big_entry->plan()->guards[0].shape, Shape({16, 16}))
+      << "the replanner did not plan at the new input contract";
+  EXPECT_GT(big_entry->plan()->arena_bytes, small_arena);
 
   // And back: the module is shape-polymorphic in both directions.
-  const std::vector<RtValue> small_in{RtValue(small)};
   const RtValue sref = fx::Interpreter(gm).run(small_in);
   EXPECT_TRUE(bit_equal(sref, gm.run_planned(small_in).front()));
 }
@@ -308,12 +317,29 @@ TEST(MemoryPlan, ShapeChangeTriggersTransparentReplan) {
 TEST(MemoryPlan, RecompileClearsPlanAndReplannerRestoresIt) {
   FuzzCase fc = chain_case();
   passes::compile_planned(*fc.gm, as_tensors(fc.inputs));
-  ASSERT_TRUE(fc.gm->has_plan());
+  ASSERT_TRUE(entry_for(*fc.gm, fc.inputs));
   fc.gm->recompile();  // tape rebuilt: the old plan's indices are meaningless
-  EXPECT_FALSE(fc.gm->has_plan());
+  EXPECT_FALSE(entry_for(*fc.gm, fc.inputs));
   const RtValue ref = fx::Interpreter(*fc.gm).run(fc.inputs);
   EXPECT_TRUE(bit_equal(ref, fc.gm->run_planned(fc.inputs).front()));
-  EXPECT_TRUE(fc.gm->has_plan()) << "the replanner should have re-planned";
+  EXPECT_TRUE(entry_for(*fc.gm, fc.inputs))
+      << "the replanner should have re-planned";
+}
+
+// The plan lives in the cache entry, and each run leases its arena from
+// it: compile_planned pools exactly one arena, the one the first run at the
+// example shape leases, and the module holds none of its own.
+TEST(MemoryPlan, CompilePlannedPoolsTheOnlyArena) {
+  FuzzCase fc = chain_case();
+  const std::vector<Tensor> example = as_tensors(fc.inputs);
+  const std::int64_t before = Storage::live_bytes();
+  const fx::TapePlan& plan = passes::compile_planned(*fc.gm, example);
+  ASSERT_GT(plan.arena_bytes, 0u);
+  const std::int64_t compiled = Storage::live_bytes();
+  EXPECT_EQ(compiled - before, static_cast<std::int64_t>(plan.arena_bytes));
+  fc.gm->run_planned(fc.inputs);
+  EXPECT_EQ(Storage::live_bytes(), compiled)
+      << "the first run allocated a second arena; one sits idle";
 }
 
 // --------------------------------------------------------------------------
@@ -363,12 +389,13 @@ TEST(PlanAliasingRule, CleanOnPlannerOutput) {
 TEST(PlanAliasingRule, FlagsOverlappingLiveIntervals) {
   FuzzCase fc = chain_case();
   passes::compile_planned(*fc.gm, as_tensors(fc.inputs));
-  auto bad = std::make_shared<fx::TapePlan>(*fc.gm->plan());
+  auto bad = std::make_shared<fx::TapePlan>(
+      *entry_for(*fc.gm, fc.inputs)->plan());
   // Pretend relu's slot is an independent buffer at matmul's offset: two
   // simultaneously-live planned intervals now share arena bytes.
   bad->intervals[1].in_place = false;
   bad->intervals[1].alias_of = -1;
-  fc.gm->install_plan(bad);
+  fc.gm->plan_cache()->insert(fc.inputs, bad);
   const auto rep = analysis::verify(*fc.gm);
   EXPECT_GT(rep.count_rule("plan.aliasing"), 0) << rep.to_string();
 }
@@ -376,10 +403,11 @@ TEST(PlanAliasingRule, FlagsOverlappingLiveIntervals) {
 TEST(PlanAliasingRule, FlagsInPlaceReuseOfLiveInput) {
   FuzzCase fc = chain_case();
   passes::compile_planned(*fc.gm, as_tensors(fc.inputs));
-  auto bad = std::make_shared<fx::TapePlan>(*fc.gm->plan());
+  auto bad = std::make_shared<fx::TapePlan>(
+      *entry_for(*fc.gm, fc.inputs)->plan());
   // Extend matmul's lifetime past relu's in-place write over it.
   bad->intervals[0].last_use = 3;
-  fc.gm->install_plan(bad);
+  fc.gm->plan_cache()->insert(fc.inputs, bad);
   const auto rep = analysis::verify(*fc.gm);
   EXPECT_GT(rep.count_rule("plan.aliasing"), 0) << rep.to_string();
 }
@@ -500,8 +528,7 @@ void expect_same_plan(const fx::TapePlan& a, const fx::TapePlan& b,
     EXPECT_TRUE(x.def == y.def && x.last_use == y.last_use &&
                 x.nbytes == y.nbytes && x.padded == y.padded &&
                 x.offset == y.offset && x.planned == y.planned &&
-                x.in_place == y.in_place && x.alias_of == y.alias_of &&
-                x.readers == y.readers)
+                x.in_place == y.in_place && x.alias_of == y.alias_of)
         << what << ": interval " << i << " differs";
   }
   ASSERT_EQ(a.guards.size(), b.guards.size()) << what;
@@ -569,6 +596,59 @@ TEST(InferMeta, PlanCacheMissPlansLikeAFreshShapePropPlan) {
     expect_same_plan(*passes::plan_tape(*fresh), *entry->plan(),
                      "seq " + std::to_string(len));
   }
+}
+
+// A miss changes nothing but the cache: after misses at two new shapes,
+// every node's shape/dtype meta and the module's guards are still those of
+// the compile shape, so the hardened entry point with its default guard
+// check still accepts the compile shape.
+TEST(InferMeta, PlanCacheMissesLeaveMetaAndGuardsAtTheCompileShapes) {
+  auto gm = fx::symbolic_trace(nn::models::mlp({16, 32, 8}));
+  const Tensor x = Tensor::randn({4, 16});
+  passes::compile_planned(*gm, {x});
+  // Shape/dtype meta of every node, Output included.
+  auto meta_now = [&] {
+    std::vector<NodeMeta> out;
+    for (const Node* n : gm->graph().nodes()) {
+      NodeMeta m;
+      m.has = n->has_meta("shape") || n->has_meta("dtype");
+      if (n->has_meta("shape")) m.shape = n->shape();
+      if (n->has_meta("dtype")) m.dtype = n->dtype();
+      out.push_back(m);
+    }
+    return out;
+  };
+  const std::vector<NodeMeta> meta = meta_now();
+  const std::vector<fx::GuardSpec> guards = gm->guards();
+  ASSERT_EQ(guards.size(), 1u);
+  EXPECT_EQ(guards[0].shape, Shape({4, 16}));
+
+  fx::PlanCache& cache = *gm->plan_cache();
+  for (std::int64_t rows : {8, 16}) {
+    const std::vector<RtValue> in{RtValue(Tensor::randn({rows, 16}))};
+    const std::uint64_t misses = cache.stats().misses;
+    const RtValue ref = fx::Interpreter(*gm).run(in);
+    EXPECT_TRUE(bit_equal(ref, gm->run_planned(in).front())) << rows;
+    EXPECT_EQ(cache.stats().misses, misses + 1) << rows;
+  }
+
+  const std::vector<NodeMeta> after = meta_now();
+  ASSERT_EQ(after.size(), meta.size());
+  std::size_t i = 0;
+  for (const Node* n : gm->graph().nodes()) {
+    EXPECT_TRUE(after[i] == meta[i])
+        << n->name() << ": compile-shape meta " << meta_str(meta[i])
+        << " became " << meta_str(after[i]);
+    ++i;
+  }
+  ASSERT_EQ(gm->guards().size(), guards.size());
+  EXPECT_EQ(gm->guards()[0].placeholder, guards[0].placeholder);
+  EXPECT_EQ(gm->guards()[0].shape, guards[0].shape);
+  EXPECT_EQ(gm->guards()[0].dtype, guards[0].dtype);
+
+  const std::vector<RtValue> in{RtValue(x)};
+  const RtValue ref = fx::Interpreter(*gm).run(in);
+  EXPECT_TRUE(bit_equal(ref, gm->run_resilient(in).front()));
 }
 
 TEST(InferMeta, UnregisteredCustomOpAndDependentsRunFromTheHeap) {
@@ -693,6 +773,43 @@ TEST(PackCacheTest, EvictsFifoAtCapacity) {
   EXPECT_LE(pc.size(), 2u);
   EXPECT_GE(pc.stats().evictions, 1);
   pc.set_capacity(PackCache::kDefaultCapacity);
+  pc.clear();
+}
+
+// A weight whose only remaining owner is the cache is dead: the next miss
+// drops its plain and panel entries, releasing the panel bytes and the
+// weight's storage instead of pinning them until FIFO eviction.
+TEST(PackCacheTest, MissDropsEntriesOfDeadWeights) {
+  auto& pc = PackCache::local();
+  pc.clear();
+  std::int64_t live_with_dead_weight = 0;
+  {
+    const Tensor full = Tensor::randn({256, 260});
+    const Tensor w = full.narrow(1, 0, 256);  // non-contiguous: plain entry too
+    pc.panel_b_f32_nt(w);
+    ASSERT_EQ(pc.size(), 1u);
+    ASSERT_EQ(pc.panel_size(), 1u);
+    live_with_dead_weight = Storage::live_bytes();
+  }
+  // The weight is gone; only the cache still holds its storage.
+  EXPECT_EQ(Storage::live_bytes(), live_with_dead_weight);
+  const std::size_t dead_panel_bytes = pc.stats().panel_bytes;
+
+  const Tensor other = Tensor::randn({4, 8});
+  pc.panel_b_f32_nt(other);
+  EXPECT_EQ(pc.size(), 0u) << "the dead weight's plain pack is still pinned";
+  EXPECT_EQ(pc.panel_size(), 1u) << "the dead weight's panel is still pinned";
+  EXPECT_LT(pc.stats().panel_bytes, dead_panel_bytes);
+  EXPECT_LT(Storage::live_bytes(), live_with_dead_weight - 256 * 256 * 4)
+      << "the dead weight's storage was not released";
+  EXPECT_EQ(pc.stats().evictions, 0) << "dropped by the sweep, not by FIFO";
+
+  // A live weight's entry survives later sweeps.
+  const std::int64_t hits = pc.stats().panel_hits;
+  pc.panel_b_f32_nt(Tensor::randn({4, 8}));  // a miss: sweeps again
+  pc.panel_b_f32_nt(other);
+  EXPECT_EQ(pc.stats().panel_hits, hits + 1)
+      << "a live weight's panel was dropped";
   pc.clear();
 }
 

@@ -91,13 +91,13 @@ TEST(Flops, MissingShapeMetaIsSurfacedNotSilentZero) {
 }
 
 // estimate_cost(gm, inputs) describes `inputs`, not the shapes of whatever
-// last wrote the graph's meta (a plan-cache miss re-infers it at its own).
+// last wrote the graph's meta; a plan-cache miss in between changes neither.
 TEST(Flops, EstimateCostUsesTheGivenInputsAfterAPlanCacheMiss) {
   auto gm = fx::symbolic_trace(nn::models::resnet18(8, 10));
   const Tensor x8 = Tensor::randn({8, 3, 32, 32});
   passes::compile_planned(*gm, {x8});
   const double at8 = passes::estimate_cost(*gm, {x8}).total_flops;
-  gm->run_planned(Tensor::randn({1, 3, 32, 32}));  // miss: meta at batch 1
+  gm->run_planned(Tensor::randn({1, 3, 32, 32}));  // a miss at batch 1
   EXPECT_EQ(passes::estimate_cost(*gm, {x8}).total_flops, at8);
 }
 

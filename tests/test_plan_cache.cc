@@ -5,9 +5,9 @@
 // and the cached-planned tape, asserting bit-equality everywhere and
 // hit/miss/evict/replan accounting against a reference LRU model. Concurrency tests race mixed-shape run_planned calls
 // against cache eviction and capacity churn (the TSan leg of
-// scripts/check.sh), and pin the PR 5 regression that a plan installed by
-// one thread is never observed half-initialized by another. All randomness
-// is seeded.
+// scripts/check.sh), and pin that concurrent misses change nothing but the
+// cache: the module's guards stay those of the compile shape. All
+// randomness is seeded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -545,46 +545,70 @@ TEST(PlanCacheConcurrency, ConcurrentSameShapeRunsLeaseDistinctArenas) {
       << "same-shape concurrent planned runs shared arena bytes";
 }
 
-// Regression (PR 5): with the legacy single-plan path (no cache), a plan
-// installed by thread A must never be observed half-initialized — or paired
-// with the wrong arena — by thread B. The module publishes the (plan, arena)
-// pair atomically and planned runs snapshot it; a snapshot that no longer
-// matches the inputs falls back to the unplanned tape instead of executing
-// into a foreign arena.
-TEST(PlanCacheConcurrency, ReplanNeverPublishesHalfInitializedPlan) {
+// A miss changes nothing but the cache. Two threads drive misses at
+// distinct shapes on one module (capacity 2, so they keep evicting each
+// other and missing again) while a third runs the hardened entry point with
+// guard checks at the compile shape. A replan that rewrote the module's
+// guards would raise GuardViolation there (and race the guard read under
+// TSan); every output must match the Interpreter bit for bit.
+TEST(PlanCacheConcurrency, ConcurrentMissesKeepCompileShapeGuards) {
   FuzzCase fc = elementwise_dag(0xBEEF);
   rt::Rng rng(19);
-  const std::vector<RtValue> small = inputs_for(rng, fc.n_inputs, {2, 4});
-  const std::vector<RtValue> big = inputs_for(rng, fc.n_inputs, {32, 4});
-  passes::compile_planned(*fc.gm, as_tensors(small));
-  fc.gm->set_plan_cache(nullptr);  // force the legacy single-plan path
-  const RtValue ref_small = fx::Interpreter(*fc.gm).run(small);
-  const RtValue ref_big = fx::Interpreter(*fc.gm).run(big);
+  const std::vector<RtValue> compile = inputs_for(rng, fc.n_inputs, {2, 4});
+  const RtValue compile_ref = fx::Interpreter(*fc.gm).run(compile);
+  struct Traffic {
+    std::vector<std::vector<RtValue>> ins;
+    std::vector<RtValue> refs;
+  };
+  auto traffic = [&](std::initializer_list<std::int64_t> rows) {
+    Traffic t;
+    for (const std::int64_t r : rows) {
+      t.ins.push_back(inputs_for(rng, fc.n_inputs, {r, 4}));
+      t.refs.push_back(fx::Interpreter(*fc.gm).run(t.ins.back()));
+    }
+    return t;
+  };
+  const Traffic ta = traffic({8, 16, 32});
+  const Traffic tb = traffic({3, 5, 7});
+  PlanCacheOptions po;
+  po.capacity = 2;
+  passes::compile_planned(*fc.gm, as_tensors(compile), po);
 
-  // Each thread hammers its own shape; every iteration invalidates the
-  // other thread's installed plan, so the replanner runs constantly and the
-  // arena is re-allocated at a different size on every swap.
   std::atomic<int> failures{0};
-  std::thread ta([&] {
-    for (int i = 0; i < 60; ++i) {
-      const std::vector<RtValue> out = fc.gm->run_planned(small);
-      if (out.size() != 1 || !bit_equal(ref_small, out[0])) {
+  std::atomic<int> violations{0};
+  auto drive = [&](const Traffic& t) {
+    for (int i = 0; i < 30; ++i) {
+      const std::size_t s = static_cast<std::size_t>(i) % t.ins.size();
+      const std::vector<RtValue> out = fc.gm->run_planned(t.ins[s]);
+      if (out.size() != 1 || !bit_equal(t.refs[s], out[0])) {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
     }
-  });
-  std::thread tb([&] {
+  };
+  std::thread a(drive, std::cref(ta));
+  std::thread b(drive, std::cref(tb));
+  std::thread c([&] {
+    fx::ResilientOptions opts;
+    opts.check_guards = true;
     for (int i = 0; i < 60; ++i) {
-      const std::vector<RtValue> out = fc.gm->run_planned(big);
-      if (out.size() != 1 || !bit_equal(ref_big, out[0])) {
-        failures.fetch_add(1, std::memory_order_relaxed);
+      try {
+        const std::vector<RtValue> out = fc.gm->run_resilient(compile, opts);
+        if (out.size() != 1 || !bit_equal(compile_ref, out[0])) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      } catch (const ExecError& e) {
+        (e.code() == ErrorCode::GuardViolation ? violations : failures)
+            .fetch_add(1, std::memory_order_relaxed);
       }
     }
   });
-  ta.join();
-  tb.join();
-  EXPECT_EQ(failures.load(), 0)
-      << "a thread observed a half-initialized (plan, arena) pair";
+  a.join();
+  b.join();
+  c.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(violations.load(), 0)
+      << "a miss moved the module's guards off the compile shape";
+  EXPECT_GE(fc.gm->plan_cache()->stats().misses, 6u);
 }
 
 // --------------------------------------------------------------------------
@@ -608,8 +632,9 @@ TEST(PlanCacheCoherenceRule, FlagsStaleTapeUnpinnedGuardAndKeyDrift) {
   const std::vector<RtValue> b = inputs_for(rng, fc.n_inputs, {16, 4});
   passes::compile_planned(*fc.gm, as_tensors(a));
   const auto cache = fc.gm->plan_cache();
-  const auto good = fc.gm->plan();
-  ASSERT_NE(good, nullptr);
+  const auto seeded = cache->peek(cache->signature_of(a));
+  ASSERT_NE(seeded, nullptr);
+  const auto good = seeded->plan();
   ASSERT_GT(good->planned_count, 0);
 
   // (1) An entry whose interval count no longer matches the tape.

@@ -5,11 +5,16 @@
 // (merge_kwargs unknown kwarg, OpRegistry::at missing target).
 #include <gtest/gtest.h>
 
+#include "analysis/dataflow.h"
 #include "analysis/verifier.h"
+#include "core/custom_op.h"
 #include "core/functional.h"
+#include "core/plan_cache.h"
 #include "core/tracer.h"
 #include "nn/models/mlp.h"
 #include "passes/shape_prop.h"
+#include "profile/profiler.h"
+#include "tensor/ops.h"
 
 namespace fxcpp {
 namespace {
@@ -426,6 +431,62 @@ TEST(OpRegistry, MergeKwargsRejectsUnknownName) {
                                  {{"start_dim", fx::RtValue(std::int64_t{1})}});
   ASSERT_EQ(merged.size(), flat.param_names.size());
   EXPECT_EQ(std::get<std::int64_t>(merged[1]), 1);
+}
+
+// --------------------------------------------------------------------------
+// JSON emitters: every string field goes through the one shared escaper, so
+// graph text carrying control bytes (parse_graph accepts any target) can
+// never produce invalid JSON.
+// --------------------------------------------------------------------------
+
+bool has_raw_control_byte(const std::string& json) {
+  for (const char c : json) {
+    // Newlines between fields are layout, not string content.
+    if (c != '\n' && static_cast<unsigned char>(c) < 0x20) return true;
+  }
+  return false;
+}
+
+TEST(JsonEmitters, EscapeEveryControlByte) {
+  const std::string nasty = "a\rb\x01";
+
+  Report report;
+  analysis::Diagnostic d;
+  d.rule = nasty;
+  d.node_name = nasty;
+  d.message = nasty;
+  d.note = nasty;
+  report.diagnostics.push_back(d);
+  const std::string report_json = report.to_json();
+  EXPECT_FALSE(has_raw_control_byte(report_json)) << report_json;
+  EXPECT_NE(report_json.find("a\\rb\\u0001"), std::string::npos)
+      << report_json;
+
+  analysis::GraphFacts facts;
+  analysis::NodeFacts nf;
+  nf.name = nf.opcode = nf.target = nf.sym_shape = nasty;
+  nf.alias_bases = {nasty};
+  facts.nodes.push_back(nf);
+  EXPECT_FALSE(has_raw_control_byte(facts.to_json())) << facts.to_json();
+
+  fx::PlanCacheStats stats;
+  fx::PlanCacheEntryStats es;
+  es.signature = nasty;
+  stats.per_entry.push_back(es);
+  EXPECT_FALSE(has_raw_control_byte(stats.to_json())) << stats.to_json();
+
+  fx::register_custom_op(nasty, {"x"}, [](const std::vector<Tensor>& in) {
+    return ops::neg(in.at(0));
+  });
+  auto g = std::make_unique<Graph>();
+  Node* x = g->placeholder("x");
+  g->output(g->call_function(nasty, {x}));
+  fx::GraphModule gm(nullptr, std::move(g));
+  gm.recompile();
+  profile::Profiler prof(gm);
+  prof.run_tape({fx::RtValue(Tensor::randn({2, 2}))});
+  EXPECT_FALSE(has_raw_control_byte(prof.summary_json()));
+  EXPECT_FALSE(has_raw_control_byte(prof.chrome_trace_json()));
 }
 
 }  // namespace
