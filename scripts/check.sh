@@ -102,8 +102,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 "$repo/build-tsan/tests/test_runtime"
 "$repo/build-tsan/tests/test_profile"
 # Hardened runtime under TSan: the differential fault fuzz drives the hook
-# seam through both engines, and the TaskGroup::wait_for tests exercise the
-# polling primitive the serving watch loop is built on.
+# seam through both engines.
 "$repo/build-tsan/tests/test_resilience"
 # Planner + pack cache under TSan: the pack-cache concurrency test packs one
 # shared weight from many threads at once.
@@ -117,7 +116,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # two shapes race a guard-checked run at the compile shape.
 "$repo/build-tsan/tests/test_plan_cache"
 # Serving layer under TSan: the batcher thread races client submitters,
-# cancellation flags, and mid-run deadline sweeps; the fuzz test runs two
+# cancellation flags, and the watchdog's mid-run deadline/cancel sweeps;
+# the fuzz test runs two
 # sessions sharing one GraphModule's weights and plan cache.
 "$repo/build-tsan/tests/test_serving"
 # Resilience-in-serving under TSan: circuit-breaker trips, half-open probes,

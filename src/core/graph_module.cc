@@ -436,7 +436,15 @@ std::shared_ptr<PlanCacheEntry> GraphModule::replan_into_cache(
       // Rejected: plan at the exact inputs below.
     }
   }
-  if (!plan) plan = replanner(*this, inputs);
+  if (!plan) {
+    try {
+      plan = replanner(*this, inputs);
+    } catch (const std::invalid_argument& e) {
+      // The shape rules reject the exact inputs, so no engine can run them:
+      // report the caller's input error, as a failed guard would.
+      throw ExecError(ErrorCode::GuardViolation, e.what());
+    }
+  }
   if (!plan) return nullptr;
   return cache.insert(inputs, std::move(plan));
 }

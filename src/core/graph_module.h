@@ -191,8 +191,10 @@ class GraphModule : public nn::Module {
   // cache entry. A miss plans once through the replanner and inserts; with
   // no cache attached, or no plan for these inputs, the run transparently
   // uses the unplanned tape — planned execution is an optimization, not a
-  // new failure mode. Thread-safe for concurrent callers of any shape mix
-  // (each run leases its own arena).
+  // new failure mode. Inputs the replanner's shape rules reject (e.g. a
+  // wrong trailing dim) throw ExecError{GuardViolation} with the rule's
+  // message. Thread-safe for concurrent callers of any shape mix (each run
+  // leases its own arena).
   std::vector<RtValue> run_planned(std::vector<RtValue> inputs,
                                    ExecHooks* hooks = nullptr);
   Tensor run_planned(const Tensor& input);
@@ -256,7 +258,8 @@ class GraphModule : public nn::Module {
   std::shared_ptr<PlanCacheEntry> planned_entry(
       const std::vector<RtValue>& inputs);
   // Miss path: double-checked peek, then plan at the signature's canonical
-  // shapes (replanner) and insert what it returns.
+  // shapes (replanner) and insert what it returns. A rejection at the exact
+  // inputs is rethrown as ExecError{GuardViolation}.
   std::shared_ptr<PlanCacheEntry> replan_into_cache(
       PlanCache& cache, const std::vector<RtValue>& inputs);
 

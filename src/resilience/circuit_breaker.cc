@@ -64,6 +64,14 @@ BreakerDecision CircuitBreaker::on_request() {
   return BreakerDecision::Admit;
 }
 
+void CircuitBreaker::on_no_run(bool probe) {
+  if (!opts_.enabled || !probe) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (state_ == BreakerState::HalfOpen) {
+    probes_outstanding_ = std::max(0, probes_outstanding_ - 1);
+  }
+}
+
 void CircuitBreaker::on_outcome(bool ok, bool probe) {
   if (!opts_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);

@@ -84,7 +84,7 @@ class CircuitBreaker {
 
   // Ask before running the engine. Reject means the caller must answer
   // ErrorCode::CircuitOpen without executing. A Probe (and an Admit) must
-  // eventually be matched by exactly one on_outcome() call.
+  // eventually be matched by exactly one on_outcome() or on_no_run() call.
   BreakerDecision on_request();
 
   // Report the result of an admitted/probed engine run. `probe` must echo
@@ -92,6 +92,10 @@ class CircuitBreaker {
   // belong here — a request answered by a deadline/cancel sweep while its
   // run kept computing is not an engine failure.
   void on_outcome(bool ok, bool probe);
+
+  // The admitted/probed request never reached the engine (its inputs were
+  // rejected before any kernel ran): frees a probe's slot, counts nothing.
+  void on_no_run(bool probe);
 
   BreakerState state() const;
   BreakerStats stats() const;

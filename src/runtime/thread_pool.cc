@@ -133,18 +133,11 @@ TaskGroup::TaskGroup(std::shared_ptr<ThreadPool> pool)
 
 TaskGroup::~TaskGroup() {
   // Drain so detached tasks never touch a dead State through a dangling
-  // group. An exception nobody consumed (the caller timed out and walked
-  // away) goes to the abandoned-error observer when one is set; otherwise
-  // it dies with the State, as wait() would have rethrown it.
+  // group. An exception nobody consumed dies here, released on this thread.
   std::exception_ptr leftover;
-  std::function<void(std::exception_ptr)> observer;
-  {
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock, [&] { return state_->pending == 0; });
-    leftover = std::exchange(state_->error, nullptr);
-    observer = state_->abandoned_observer;
-  }
-  if (leftover && observer) observer(leftover);
+  std::unique_lock<std::mutex> lock(state_->mu);
+  state_->cv.wait(lock, [&] { return state_->pending == 0; });
+  leftover = std::exchange(state_->error, nullptr);
 }
 
 void TaskGroup::run(std::function<void()> fn) {
@@ -160,7 +153,6 @@ void TaskGroup::run(std::function<void()> fn) {
     } catch (...) {
       std::lock_guard<std::mutex> lock(st->mu);
       if (!st->error) st->error = std::current_exception();
-      st->failed = true;
     }
     // Drop the task closure before signalling completion: once the waiter
     // wakes it may free anything the task captured, and libstdc++'s
@@ -186,42 +178,6 @@ void TaskGroup::wait() {
     err = std::exchange(state_->error, nullptr);
   }
   if (err) std::rethrow_exception(err);
-}
-
-bool TaskGroup::wait_for(std::chrono::milliseconds timeout) {
-  std::exception_ptr err;
-  {
-    std::unique_lock<std::mutex> lock(state_->mu);
-    if (!state_->cv.wait_for(lock, timeout,
-                             [&] { return state_->pending == 0; })) {
-      return false;
-    }
-    err = std::exchange(state_->error, nullptr);
-  }
-  if (err) std::rethrow_exception(err);
-  return true;
-}
-
-std::exception_ptr TaskGroup::drain() {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->pending == 0; });
-  return std::exchange(state_->error, nullptr);
-}
-
-void TaskGroup::set_abandoned_error_observer(
-    std::function<void(std::exception_ptr)> f) {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  state_->abandoned_observer = std::move(f);
-}
-
-bool TaskGroup::failed() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->failed;
-}
-
-std::size_t TaskGroup::pending() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->pending;
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@
 // intra-op chunks never wait on inter-op work.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -92,17 +91,6 @@ class ThreadPool {
 // stopped or destroyed mid-flight, already-queued tasks still run (the
 // pool drains before joining) and later run() calls execute inline, so
 // wait() never deadlocks.
-// Post-deadline completion contract (what a wait_for() timeout means):
-// a false return abandons nothing. The timed-out tasks keep running; their
-// results/exceptions stay observable through exactly one of
-//   - a later wait() / wait_for() (rethrows a captured exception),
-//   - drain() (blocks until quiescent, *returns* the exception), or
-//   - the destructor, which waits for quiescence and hands any still-
-//     unconsumed exception to the abandoned-error observer (if set) instead
-//     of dropping it.
-// The serving batcher keys off this: it answers expired requests early but
-// keeps polling wait_for() until the batch quiesces, so a late kernel
-// failure is always seen, counted, and never lost.
 class TaskGroup {
  public:
   // Non-owning: the caller guarantees `pool` outlives the group (the idiom
@@ -124,39 +112,12 @@ class TaskGroup {
   // (consuming it — a later wait() on the quiesced group returns clean).
   void wait();
 
-  // Bounded wait: true when the group quiesced within `timeout` (consuming
-  // and rethrowing a captured exception exactly like wait()), false on
-  // timeout with tasks still pending. The polling loop the serving batcher
-  // builds its cancellation/deadline watch on.
-  bool wait_for(std::chrono::milliseconds timeout);
-
-  // Block until the group quiesces and return (consuming, not throwing) the
-  // first captured exception, or nullptr when every task succeeded. The
-  // post-timeout drain: after wait_for() returned false and the caller has
-  // already answered its clients, drain() is how a late exception is
-  // observed rather than dropped.
-  std::exception_ptr drain();
-
-  // Observer for exceptions still unconsumed when the group is destroyed
-  // (the caller timed out and never called wait()/drain()). Invoked at most
-  // once, from the destructor, after quiescence. Without an observer such
-  // an exception dies with the group (the pre-existing behavior).
-  void set_abandoned_error_observer(std::function<void(std::exception_ptr)> f);
-
-  // True once any task has thrown (long fan-outs can bail early).
-  bool failed() const;
-
-  // Tasks scheduled but not yet finished (snapshot; for tests/diagnostics).
-  std::size_t pending() const;
-
  private:
   struct State {
     std::mutex mu;
     std::condition_variable cv;
     std::size_t pending = 0;
     std::exception_ptr error;
-    bool failed = false;  // sticky: survives wait() consuming `error`
-    std::function<void(std::exception_ptr)> abandoned_observer;
   };
   std::shared_ptr<ThreadPool> pool_;  // null deleter when built from a ref
   std::shared_ptr<State> state_;

@@ -102,12 +102,12 @@ InferenceSession::InferenceSession(std::shared_ptr<fx::GraphModule> gm,
                                    ServeOptions opts)
     : gm_(std::move(gm)),
       opts_(normalize(opts)),
-      pool_(std::make_shared<rt::ThreadPool>(1)),
       breaker_(opts_.breaker),
       health_(opts_.health),
       retry_(opts_.retry) {
   if (!gm_) throw std::invalid_argument("InferenceSession: null module");
   if (!gm_->compiled()) gm_->recompile();
+  watchdog_ = std::thread([this] { watchdog_loop(); });
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 
@@ -124,6 +124,12 @@ void InferenceSession::shutdown() {
   }
   cv_.notify_all();
   if (batcher_.joinable()) batcher_.join();
+  {
+    std::lock_guard<std::mutex> wl(watch_mu_);
+    watch_stop_ = true;
+  }
+  watch_cv_.notify_one();
+  if (watchdog_.joinable()) watchdog_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -281,6 +287,35 @@ void InferenceSession::batcher_loop() {
       batch = form_batch(lock);
     }
     process_batch(std::move(batch));
+  }
+}
+
+void InferenceSession::watchdog_loop() {
+  std::unique_lock<std::mutex> wl(watch_mu_);
+  while (!watch_stop_) {
+    if (!watched_) {
+      // No batch in flight: sleep until process_batch publishes one.
+      watchdog_idle_ = true;
+      watch_cv_.wait(wl, [this] { return watch_stop_ || watched_; });
+      watchdog_idle_ = false;
+      continue;
+    }
+    watch_cv_.wait_for(wl, opts_.batch_poll);
+    if (!watched_) continue;
+    const Clock::time_point now = Clock::now();
+    for (Request& r : *watched_) {
+      if (r.answered) continue;
+      if (r.cancel && r.cancel->load()) {
+        respond_error(r, ErrorCode::Cancelled, "serve: cancelled mid-run");
+        std::lock_guard<std::mutex> sl(stats_mu_);
+        ++stats_.cancelled;
+      } else if (r.deadline <= now) {
+        respond_error(r, ErrorCode::DeadlineExceeded,
+                      "serve: deadline expired mid-run");
+        std::lock_guard<std::mutex> sl(stats_mu_);
+        ++stats_.expired;
+      }
+    }
   }
 }
 
@@ -443,53 +478,65 @@ void InferenceSession::process_batch(std::vector<Request> batch) {
     }
   }
 
-  // One planned run over the coalesced batch, on the session's private
-  // pool. The TaskGroup pins the pool and supplies the watch-loop seam:
-  // wait_for's post-deadline contract guarantees a late result or
-  // exception is still observable after we time out and answer clients.
-  auto results = std::make_shared<std::vector<Tensor>>();
-  rt::TaskGroup group(pool_);
-  group.run([this, inputs = std::move(inputs), results] {
-    *results = gm_->run_planned_batched(inputs, opts_.hooks);
-  });
-
-  std::exception_ptr batch_err;
-  for (;;) {
-    bool done = false;
-    try {
-      done = group.wait_for(opts_.batch_poll);
-    } catch (...) {
-      batch_err = std::current_exception();
-      done = true;
-    }
-    if (done) break;
-    // Mid-run sweep: answer cancelled/expired requests now — their batch
-    // slot keeps computing (cooperative batch, no per-row preemption), and
-    // the eventual result is counted late, not delivered.
-    const Clock::time_point now = Clock::now();
-    for (Request& r : live) {
-      if (r.answered) continue;
-      if (r.cancel && r.cancel->load()) {
-        respond_error(r, ErrorCode::Cancelled, "serve: cancelled mid-run");
-        std::lock_guard<std::mutex> sl(stats_mu_);
-        ++stats_.cancelled;
-      } else if (r.deadline <= now) {
-        respond_error(r, ErrorCode::DeadlineExceeded,
-                      "serve: deadline expired mid-run");
-        std::lock_guard<std::mutex> sl(stats_mu_);
-        ++stats_.expired;
-      }
-    }
+  // One planned run over the coalesced batch, inline on this thread. The
+  // batch is published to the watchdog for the run, which answers members
+  // whose deadline expires or cancel token fires mid-run; their batch slot
+  // keeps computing (cooperative batch, no per-row preemption), and the
+  // eventual result or error is counted late, not delivered.
+  bool wake;
+  {
+    std::lock_guard<std::mutex> wl(watch_mu_);
+    watched_ = &live;
+    wake = watchdog_idle_;
+  }
+  if (wake) watch_cv_.notify_one();
+  std::vector<Tensor> results;
+  bool failed = false;
+  ErrorCode code = ErrorCode::NodeFailure;
+  std::string msg;
+  try {
+    results = gm_->run_planned_batched(inputs, opts_.hooks);
+  } catch (const ExecError& e) {
+    failed = true;
+    code = e.code();
+    msg = e.what();
+  } catch (const std::exception& e) {
+    failed = true;
+    msg = e.what();
+  } catch (...) {
+    failed = true;
+    msg = "serve: batch run threw a non-standard exception";
+  }
+  {
+    // Un-publish before touching `live` again: from here on only this
+    // thread answers its members.
+    std::lock_guard<std::mutex> wl(watch_mu_);
+    watched_ = nullptr;
   }
 
   std::size_t unanswered = 0;
   for (const Request& r : live) unanswered += r.answered ? 0 : 1;
 
-  if (batch_err) {
+  if (failed && is_input_error(code)) {
+    // The planner rejected the inputs before any kernel ran (members share
+    // their trailing dims, so each one is malformed): answer every member
+    // once with that code. No engine ran, so there is nothing to rescue and
+    // no outcome for health or the breaker.
+    for (Request& r : live) {
+      breaker_.on_no_run(r.probe);
+      respond_error(r, code, msg);
+    }
+    std::lock_guard<std::mutex> sl(stats_mu_);
+    stats_.failed += unanswered;
+    if (unanswered == 0) ++stats_.late_errors;
+    return;
+  }
+
+  if (failed) {
     health_.record(false);
     if (unanswered == 0) {
       // Every member was already answered (deadline/cancel); the error is
-      // observed and counted — the contract's "never dropped on the floor".
+      // observed and counted, never dropped.
       for (Request& r : live) breaker_.on_outcome(false, r.probe);
       sync_breaker_trips();
       std::lock_guard<std::mutex> sl(stats_mu_);
@@ -505,17 +552,10 @@ void InferenceSession::process_batch(std::vector<Request> batch) {
       sync_breaker_trips();
       return;
     }
-    std::string msg;
-    try {
-      std::rethrow_exception(batch_err);
-    } catch (const ExecError& e) {
-      msg = e.what();
-      for (Request& r : live) respond_error(r, e.code(), msg);
-    } catch (const std::exception& e) {
-      msg = e.what();
-      for (Request& r : live) respond_error(r, ErrorCode::NodeFailure, msg);
+    for (Request& r : live) {
+      respond_error(r, code, msg);
+      breaker_.on_outcome(false, r.probe);
     }
-    for (Request& r : live) breaker_.on_outcome(false, r.probe);
     sync_breaker_trips();
     std::lock_guard<std::mutex> sl(stats_mu_);
     stats_.failed += unanswered;
@@ -532,7 +572,7 @@ void InferenceSession::process_batch(std::vector<Request> batch) {
       ++late;  // result arrived after a deadline/cancel response went out
       continue;
     }
-    respond_ok(live[i], std::move((*results)[i]), rows, live.size(), start);
+    respond_ok(live[i], std::move(results[i]), rows, live.size(), start);
     ++completed;
   }
   std::lock_guard<std::mutex> sl(stats_mu_);

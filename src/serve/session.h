@@ -4,8 +4,8 @@
 // The paper treats fx-captured graphs as artifacts to be transformed and
 // then deployed; everything below the line already exists in this repo —
 // planned tapes, the guard-keyed multi-plan cache (core/plan_cache.h),
-// the resilient fallback ladder, TaskGroup deadlines — and this layer is
-// the traffic front-end that composes them:
+// the resilient fallback ladder — and this layer is the traffic front-end
+// that composes them:
 //
 //   clients --submit()--> bounded queue --batcher--> run_planned_batched
 //                 |                          |               |
@@ -20,13 +20,14 @@
 // when it reaches ServeOptions::max_batch_rows or when the oldest member
 // has waited ServeOptions::max_queue_delay.
 //
-// Deadlines & cancellation ride on TaskGroup::wait_for's post-deadline
-// completion contract (runtime/thread_pool.h): the batcher polls the
-// in-flight batch in batch_poll steps, answers any request whose deadline
-// expired (or whose cancel token fired) mid-run immediately, and keeps
-// polling until the batch quiesces — so a late result or exception is
-// always observed (counted in SessionStats::late_results / late_errors),
-// never dropped.
+// Deadlines & cancellation. The batcher runs each batch inline and
+// publishes it to the session's watchdog thread for the run. The watchdog
+// sleeps while no batch is in flight; during a run it sweeps the batch
+// every batch_poll and answers any request whose deadline expired (or whose
+// cancel token fired) at once, even while a kernel is still inside one long
+// instruction. The batcher still sees the run finish, so a late result or
+// exception is always observed (counted in SessionStats::late_results /
+// late_errors), never dropped.
 //
 // Resilience (PR 9). Four cooperating mechanisms wrap the execution path;
 // all of them default ON with thresholds that are no-ops for healthy
@@ -55,12 +56,16 @@
 // Failure isolation. A batch run that throws does not poison its
 // co-batched requests: the batcher degrades to per-request
 // GraphModule::run_resilient calls, so one poisoned input fails alone with
-// its own ExecError code while its neighbors still get answers.
+// its own ExecError code while its neighbors still get answers. A batch
+// whose inputs the planner rejects (GuardViolation / ArityMismatch: a
+// malformed request, e.g. a wrong trailing dim) is answered with that code
+// once — no rescue, and nothing recorded in health or the breaker, so
+// malformed traffic cannot knock a healthy session off its rung.
 //
 // Sharing. Multiple concurrent sessions may serve the same GraphModule
 // (shared weights): the planned cache path is thread-safe for concurrent
-// mixed-shape callers, and each session runs batches on its own private
-// execution pool.
+// mixed-shape callers, and each session runs its batches on its own
+// batcher thread.
 #pragma once
 
 #include <array>
@@ -82,7 +87,6 @@
 #include "resilience/exec_error.h"
 #include "resilience/health.h"
 #include "resilience/retry_policy.h"
-#include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace fxcpp::serve {
@@ -106,8 +110,8 @@ struct ServeOptions {
   // previous run executed, so waiting longer mostly buys dead air (A11
   // measures this directly — see bench/bench_serving.cc).
   std::chrono::microseconds max_queue_delay{250};
-  // Poll step of the in-flight watch loop (TaskGroup::wait_for granularity
-  // for mid-run deadline/cancellation sweeps).
+  // Sweep period of the watchdog while a batch is in flight: how often it
+  // answers requests whose deadline expired or whose cancel fired mid-run.
   std::chrono::milliseconds batch_poll{1};
   // Coalesce compatible requests (false = every request runs alone; the
   // bench's control arm).
@@ -213,8 +217,8 @@ struct SessionStats {
   std::string to_json() const;
 };
 
-// One serving session: owns the request queue, the batcher thread, and a
-// private single-worker execution pool. submit() never blocks on
+// One serving session: owns the request queue, the batcher thread (which
+// runs every batch) and the watchdog thread. submit() never blocks on
 // execution; shutdown() (or the destructor) drains already-admitted
 // requests before returning.
 class InferenceSession {
@@ -271,6 +275,9 @@ class InferenceSession {
   };
 
   void batcher_loop();
+  // Mid-run deadline/cancel sweeps over the batch process_batch publishes
+  // in watched_; idle (no wake-ups) while none is in flight.
+  void watchdog_loop();
   // Pop the head request and coalesce queued requests of its compatibility
   // class (same dtype + trailing dims) until max_batch_rows or the head's
   // max_queue_delay flush point. Called with `lock` held; may wait on cv_.
@@ -294,9 +301,6 @@ class InferenceSession {
 
   std::shared_ptr<fx::GraphModule> gm_;
   ServeOptions opts_;
-  // Private execution pool: batch runs must not contend with (or be
-  // resized under) the process-wide pools; TaskGroup pins it per batch.
-  std::shared_ptr<rt::ThreadPool> pool_;
 
   resilience::CircuitBreaker breaker_;
   resilience::HealthMonitor health_;
@@ -313,7 +317,16 @@ class InferenceSession {
   SessionStats stats_;
   double ema_run_seconds_ = 0.0;  // guarded by stats_mu_; shed_hopeless
 
-  std::thread batcher_;  // started last in the ctor, joined by shutdown()
+  // The in-flight batch, published by process_batch for the watchdog. Every
+  // respond_* on a published batch happens under watch_mu_.
+  std::mutex watch_mu_;  // watched_, watchdog_idle_, watch_stop_
+  std::condition_variable watch_cv_;
+  std::vector<Request>* watched_ = nullptr;
+  bool watchdog_idle_ = false;  // waiting for a batch: publish must notify
+  bool watch_stop_ = false;
+
+  std::thread watchdog_;  // joined by shutdown() after the batcher
+  std::thread batcher_;   // started last in the ctor, joined by shutdown()
 };
 
 }  // namespace fxcpp::serve

@@ -7,11 +7,8 @@
 // All randomness is seeded (runtime/rng.h) so failures replay.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/verifier.h"
@@ -23,7 +20,6 @@
 #include "resilience/fault_injection.h"
 #include "resilience/guards.h"
 #include "runtime/rng.h"
-#include "runtime/thread_pool.h"
 
 namespace fxcpp {
 namespace {
@@ -667,38 +663,6 @@ TEST(RunResilient, TensorConvenienceOverload) {
   const Tensor in = Tensor::randn({kSide, kSide});
   const Tensor out = gm.run_resilient(in);
   EXPECT_TRUE(bit_equal(out, fx::rt_tensor(fx::Interpreter(gm).run(in))));
-}
-
-// --------------------------------------------------------------------------
-// TaskGroup::wait_for — the primitive the serving batcher's watch loop is
-// built on.
-// --------------------------------------------------------------------------
-
-TEST(TaskGroupWaitFor, TimesOutThenQuiesces) {
-  rt::ThreadPool pool(2);
-  rt::TaskGroup group(pool);
-  std::atomic<bool> release{false};
-  group.run([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  EXPECT_FALSE(group.wait_for(std::chrono::milliseconds(5)));
-  release.store(true);
-  EXPECT_TRUE(group.wait_for(std::chrono::milliseconds(5000)));
-}
-
-TEST(TaskGroupWaitFor, RethrowsCapturedErrorOnQuiesce) {
-  rt::ThreadPool pool(2);
-  rt::TaskGroup group(pool);
-  group.run([] { throw std::invalid_argument("late boom"); });
-  try {
-    while (!group.wait_for(std::chrono::milliseconds(10))) {
-    }
-    FAIL() << "expected the worker exception";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "late boom");
-  }
 }
 
 // --------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // backoff), health rung machine, chaos injector schedule replay, the
 // fault-injector alloc-ceiling scoping fix, and the InferenceSession
 // integration — priority shedding, breaker fail-fast + half-open recovery,
-// retry-rescued transients, health-driven rung degradation, and the
-// shutdown-vs-breaker race. Labeled `resilience_serve`; runs under the
+// retry-rescued transients, health-driven rung degradation, malformed
+// requests answered without touching health, and the shutdown-vs-breaker
+// race. Labeled `resilience_serve`; runs under the
 // ASan and TSan legs of scripts/check.sh.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "core/exec_hooks.h"
 #include "core/interpreter.h"
 #include "core/tracer.h"
+#include "nn/models/mlp.h"
 #include "resilience/chaos.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/exec_error.h"
@@ -180,6 +182,32 @@ TEST(CircuitBreakerUnit, ProbeFailureReopens) {
   b.on_outcome(true, /*probe=*/true);
   EXPECT_EQ(b.state(), BreakerState::Closed);
   EXPECT_EQ(b.stats().closes, 1u);
+}
+
+TEST(CircuitBreakerUnit, NoRunFreesProbeSlotWithoutAnOutcome) {
+  BreakerOptions bo;
+  bo.consecutive_failures = 1;
+  bo.cooldown_rejections = 1;
+  bo.cooldown_jitter = 0;
+  bo.half_open_probes = 1;
+  bo.probes_to_close = 1;
+  CircuitBreaker b(bo);
+
+  b.on_request();
+  b.on_outcome(false, false);
+  ASSERT_EQ(b.state(), BreakerState::Open);
+  EXPECT_EQ(b.on_request(), BreakerDecision::Reject);
+  EXPECT_EQ(b.on_request(), BreakerDecision::Probe);
+  EXPECT_EQ(b.on_request(), BreakerDecision::Reject);  // slot taken
+  // The probe's inputs were rejected before the engine ran: its slot frees
+  // and the breaker learns nothing (still half-open, no close, no reopen).
+  b.on_no_run(/*probe=*/true);
+  EXPECT_EQ(b.state(), BreakerState::HalfOpen);
+  EXPECT_EQ(b.stats().reopens, 0u);
+  EXPECT_EQ(b.stats().closes, 0u);
+  EXPECT_EQ(b.on_request(), BreakerDecision::Probe);
+  b.on_outcome(true, /*probe=*/true);
+  EXPECT_EQ(b.state(), BreakerState::Closed);
 }
 
 TEST(CircuitBreakerUnit, TripsOnWindowErrorRate) {
@@ -675,6 +703,36 @@ TEST(ResilientServe, HealthDegradesRungThenEarnsWayBack) {
   EXPECT_EQ(s.health.state, resilience::HealthState::Healthy);
   // Broken-rung requests really ran below the batched fast path.
   EXPECT_GE(s.degraded_rung_runs, 1u);
+}
+
+// A malformed request (wrong trailing dim) is the caller's error: the
+// planner rejects it before any kernel runs, so it is answered
+// GuardViolation once — no rescue ladder, no health or breaker outcome —
+// and well-formed traffic after it stays on the batched rung.
+TEST(ResilientServe, MalformedRequestsLeaveHealthySessionHealthy) {
+  auto gm = fx::symbolic_trace(nn::models::mlp({16, 32, 8}));
+  InferenceSession session(gm, seeded_input(1, {4, 16}));
+
+  const Shape bad[] = {{2, 15}, {2, 16, 1}, {1, 17}, {3, 8}, {2, 15}};
+  for (const Shape& s : bad) {
+    Response r = session.run(seeded_input(2, s));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, ErrorCode::GuardViolation) << r.error;
+    EXPECT_EQ(r.attempts, 1u) << "answered once, without a rescue";
+  }
+  const Tensor good = seeded_input(3, {2, 16});
+  Response r = session.run(good.clone());
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(bit_equal(r.output, fx::rt_tensor(fx::Interpreter(*gm).run(good))));
+
+  session.shutdown();
+  const SessionStats s = session.stats();
+  EXPECT_EQ(s.health.state, HealthState::Healthy);
+  EXPECT_EQ(s.degraded_rung_runs, 0u);
+  EXPECT_EQ(s.degraded_batches, 0u);
+  EXPECT_EQ(s.failed, 5u);
+  EXPECT_EQ(s.by_code[static_cast<std::size_t>(ErrorCode::GuardViolation)], 5u);
+  EXPECT_EQ(s.breaker.trips, 0u);
 }
 
 TEST(ResilientServe, StatsJsonExposesFullTaxonomyAndResilienceState) {

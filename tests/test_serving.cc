@@ -1,5 +1,5 @@
 // Serving layer: InferenceSession admission control, dynamic batching,
-// deadlines/cancellation on the TaskGroup watch loop, per-request degrade
+// deadlines/cancellation answered mid-run by the watchdog, per-request degrade
 // of poisoned batches, and the concurrent-session fuzz (N client threads x
 // mixed shapes x random deadlines/cancellations against one shared-weight
 // module, every ok response bit-checked vs the Interpreter). Runs under the
@@ -224,6 +224,55 @@ TEST(Serving, DeadlineDuringRunObservedByWatchLoop) {
   EXPECT_GE(s.expired, 1u);
   // The late result was observed and counted — never silently dropped.
   EXPECT_GE(s.late_results, 1u);
+}
+
+TEST(Serving, CancelDuringRunObservedByWatchdog) {
+  register_slow_identity("serve_block_cancel_run", 250);
+  auto gm = traced_custom("serve_block_cancel_run");
+  InferenceSession session(gm, Tensor::randn({1, 4}));
+
+  Ticket t = session.submit(Tensor::randn({1, 4}));
+  wait_until([&] { return session.stats().batches >= 1; });
+  // The request's own batch is running; the watchdog answers the cancel
+  // while the kernel still sleeps.
+  const auto t0 = std::chrono::steady_clock::now();
+  t.cancel->store(true);
+  Response r = t.response.get();
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, ErrorCode::Cancelled);
+  EXPECT_LT(waited, 0.2);
+  session.shutdown();
+  const SessionStats s = session.stats();
+  EXPECT_GE(s.cancelled, 1u);
+  EXPECT_GE(s.late_results, 1u);
+}
+
+TEST(Serving, LateBatchErrorAfterDeadlineIsCounted) {
+  fx::register_custom_op(
+      "serve_late_throw", {"x"}, [](const std::vector<Tensor>&) -> Tensor {
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        throw std::runtime_error("late kernel failure");
+      });
+  auto gm = traced_custom("serve_late_throw");
+  InferenceSession session(gm, Tensor::randn({1, 4}));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  Ticket t = session.submit(Tensor::randn({1, 4}), /*deadline=*/0.03);
+  Response r = t.response.get();
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, ErrorCode::DeadlineExceeded);
+  EXPECT_LT(waited, 0.12);
+  session.shutdown();  // the batch's error lands after its only member
+  const SessionStats s = session.stats();
+  EXPECT_EQ(s.late_errors, 1u);
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_EQ(s.expired, 1u);
 }
 
 TEST(Serving, CancelBeforeRun) {
